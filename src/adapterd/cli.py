@@ -102,13 +102,6 @@ def _split_users(total: int, replicas: int) -> list[int]:
 
 def cmd_simulate(args: argparse.Namespace) -> int:
     scenario = _resolve_scenario(args.scenario)
-    if scenario.mode != "virtual":
-        print(
-            f"error: scenario {scenario.name!r} has mode {scenario.mode!r}; "
-            "simulate runs virtual mode only (use `serve` plus `bench` for live runs)",
-            file=sys.stderr,
-        )
-        return 2
     workload = scenario.workload
     if args.seed is not None:
         workload = replace(workload, seed=args.seed)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Any
 
@@ -19,7 +19,6 @@ VirtualTime = float
 BASE_ADAPTER = "base"
 
 _ADAPTER_ASSIGNMENTS = ("uniform", "per_user")
-_SCENARIO_MODES = ("virtual", "live")
 
 
 def adapter_name(index: int) -> str:
@@ -245,13 +244,12 @@ def rng_split(rng: Rng, label: int) -> Rng:
 
 @dataclass(frozen=True)
 class Scenario:
-    """A runnable benchmark: configs plus replica count and execution mode."""
+    """A runnable benchmark: configs plus replica count and adapter prewarming."""
 
     name: str
     engine: EngineConfig
     workload: WorkloadConfig
     replicas: int = 1
-    mode: str = "virtual"
     prewarm_adapters: bool = False
 
 
@@ -285,15 +283,12 @@ def workload_config_from_dict(raw: dict[str, Any]) -> WorkloadConfig:
 
 def scenario_from_dict(raw: dict[str, Any]) -> Scenario:
     """Build a Scenario from one JSON document with "engine" and "workload" objects."""
-    known = {"name", "engine", "workload", "replicas", "mode", "prewarm_adapters"}
+    known = {"name", "engine", "workload", "replicas", "prewarm_adapters"}
     unknown = sorted(set(raw) - known)
     if unknown:
         raise ValueError(f"scenario: unknown fields {unknown}")
     engine = engine_config_from_dict(raw.get("engine", {}))
     workload = workload_config_from_dict(raw.get("workload", {}))
-    mode = raw.get("mode", "virtual")
-    if mode not in _SCENARIO_MODES:
-        raise ValueError(f"scenario.mode: must be one of {_SCENARIO_MODES} (got {mode!r})")
     replicas = int(raw.get("replicas", 1))
     if replicas < 1:
         raise ValueError(f"scenario.replicas: must be >= 1 (got {replicas})")
@@ -302,7 +297,6 @@ def scenario_from_dict(raw: dict[str, Any]) -> Scenario:
         engine=engine,
         workload=workload,
         replicas=replicas,
-        mode=mode,
         prewarm_adapters=bool(raw.get("prewarm_adapters", False)),
     )
 

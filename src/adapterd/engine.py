@@ -39,14 +39,14 @@ from .core import (
 )
 from .metrics import RequestRecord, RunReport, summarize
 from .scheduler import Scheduler
-from .workload import Submit, initial_user_state, user_tick
+from .workload import User, user_tick
 
 __all__ = [
     "EngineCore",
+    "decode_gap",
     "prefill_time",
     "run",
     "single_request_timeline",
-    "step_duration",
 ]
 
 # Same-instant event ordering (lower runs first).
@@ -64,25 +64,9 @@ def prefill_time(config: EngineConfig, input_tokens: int) -> float:
     return config.prefill_base_ms + config.prefill_per_token_ms * input_tokens
 
 
-def step_duration(
-    config: EngineConfig,
-    batch_size: int,
-    prefill_input_lengths: Sequence[int],
-    new_adapters: int,
-) -> float:
-    """Milliseconds for one engine step over `batch_size` sequences.
-
-    A step decodes one token for every sequence in the batch, absorbs any
-    prefills entering this step, and pays the switch penalty once per adapter
-    newly introduced to the batch.
-    """
-    if batch_size < 1:
-        raise ValueError(f"batch_size must be >= 1, got {batch_size}")
-    duration = config.decode_base_ms + config.decode_per_seq_ms * batch_size
-    for length in prefill_input_lengths:
-        duration += prefill_time(config, length)
-    duration += config.switch_overhead_ms * new_adapters
-    return duration
+def decode_gap(config: EngineConfig, streaming: int) -> float:
+    """Milliseconds until a sequence's next token while `streaming` sequences stream."""
+    return config.decode_base_ms + config.decode_per_seq_ms * streaming
 
 
 def single_request_timeline(
@@ -91,8 +75,8 @@ def single_request_timeline(
     """Closed-form (ttft, streaming, total) for one request on an idle engine."""
     if output_tokens < 1:
         raise ValueError(f"output_tokens must be >= 1, got {output_tokens}")
-    ttft = step_duration(config, 1, [input_tokens], 0)
-    gap = config.decode_base_ms + config.decode_per_seq_ms
+    gap = decode_gap(config, 1)
+    ttft = prefill_time(config, input_tokens) + gap
     streaming = (output_tokens - 1) * gap
     return ttft, streaming, ttft + streaming
 
@@ -215,7 +199,7 @@ class EngineCore:
             plan = self.scheduler.plan_admission(
                 self.cache, now, free, config.admission_per_step, self._step
             )
-            for request, _adapter in plan.admitted:
+            for request in plan.admitted:
                 self._flights[request.id] = _Flight(request)
                 self._push(
                     now + prefill_time(config, request.input_tokens),
@@ -227,10 +211,7 @@ class EngineCore:
         if next_ready is not None:
             self._request_wake(next_ready)
         if admitted and self.scheduler.has_backlog():
-            tick = config.decode_base_ms + config.decode_per_seq_ms * max(
-                1, self._streaming_count
-            )
-            self._request_plan(now + tick)
+            self._request_plan(now + decode_gap(config, max(1, self._streaming_count)))
 
     def _handle_cache_ready(self, now: float) -> None:
         self._wake_times.discard(now)
@@ -244,7 +225,7 @@ class EngineCore:
     def _handle_prefill_done(self, request_id: str, now: float) -> None:
         flight = self._flights[request_id]
         config = self._config
-        gap = config.decode_base_ms + config.decode_per_seq_ms * (self._streaming_count + 1)
+        gap = decode_gap(config, self._streaming_count + 1)
         adapter = flight.request.adapter
         if (
             adapter != BASE_ADAPTER
@@ -271,8 +252,7 @@ class EngineCore:
         if emitted >= request.max_new_tokens:
             self._finish(flight, now)
         else:
-            config = self._config
-            gap = config.decode_base_ms + config.decode_per_seq_ms * self._streaming_count
+            gap = decode_gap(self._config, self._streaming_count)
             self._push(now + gap, _PRIO_TOKEN, request_id)
 
     def _finish(self, flight: _Flight, now: float) -> None:
@@ -335,7 +315,7 @@ def run(
     validate_config(engine_config, workload_config)
     deadline = workload_config.duration_ms
     adapters = [adapter_name(i) for i in range(workload_config.n_adapters)]
-    users = {}
+    users = [User(user_index_offset + i, workload_config) for i in range(workload_config.users)]
     rid_to_user: dict[str, int] = {}
     id_counter = itertools.count(1)
 
@@ -344,10 +324,14 @@ def run(
         adapters,
         prewarm=prewarm_adapters,
         deadline=deadline,
-        on_finish=lambda record: _on_finish(record),
+        on_finish=lambda record: _next(rid_to_user.pop(record.request_id), core.clock),
     )
 
-    def _submit(user_index: int, payload, now: float) -> None:
+    def _next(user_index: int, now: float) -> None:
+        """Let an idle user submit its next request at `now`, or stop."""
+        payload = user_tick(users[user_index], now, deadline, workload_config)
+        if payload is None:
+            return
         request_id = f"{request_id_prefix}{next(id_counter):06d}"
         rid_to_user[request_id] = user_index
         request = Request(
@@ -359,20 +343,8 @@ def run(
         )
         core.schedule_submit(request, now)
 
-    def _on_finish(record: RequestRecord) -> None:
-        user_index = rid_to_user.pop(record.request_id)
-        state = users[user_index].completed()
-        action, state = user_tick(state, core.clock, deadline, workload_config)
-        users[user_index] = state
-        if isinstance(action, Submit):
-            _submit(user_index, action.payload, core.clock)
-
-    for i in range(workload_config.users):
-        state = initial_user_state(user_index_offset + i, workload_config)
-        action, state = user_tick(state, 0.0, deadline, workload_config)
-        users[i] = state
-        if isinstance(action, Submit):
-            _submit(i, action.payload, 0.0)
+    for user_index in range(len(users)):
+        _next(user_index, 0.0)
 
     core.run_until_idle()
     discarded = core.scheduler.drain_queued()

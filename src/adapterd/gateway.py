@@ -13,8 +13,10 @@ Protocol, all under one port:
   whose whitespace-separated token count is used), ``max_new_tokens``,
   optional ``adapter`` (defaults to the base model), optional ``stream``.
   Streaming responses are server-sent events, one ``data: {"token_index": i}``
-  line per token followed by ``data: [DONE]``.  Malformed bodies get a 400
-  with the full violation list; unknown adapters get a 404.
+  line per token followed by ``data: [DONE]``.  Malformed bodies, and a
+  ``Content-Length`` that is not a non-negative integer, get a 400 with the
+  full violation list; a body over ``_MAX_BODY_BYTES`` gets a 413 unread;
+  unknown adapters get a 404.
 * ``GET /healthz`` -- liveness probe, plain ``ok``.
 * ``GET /v1/metrics`` -- the run-so-far report as JSON.
 
@@ -41,10 +43,10 @@ from dataclasses import dataclass, replace
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Sequence
 
-from .core import BASE_ADAPTER, EngineConfig, Request, Rng, WorkloadConfig, rng_split
+from .core import BASE_ADAPTER, EngineConfig, Request, WorkloadConfig
 from .engine import EngineCore
 from .metrics import RequestRecord, RunReport, merge, summarize
-from .workload import pinned_adapter, sample_payload
+from .workload import User, sample_payload
 
 __all__ = [
     "LiveEngine",
@@ -60,6 +62,7 @@ _DEFAULT_PORT = 8000
 _PORT_ENV_VAR = "ADAPTERD_PORT"
 _FAILURE_BACKOFF_S = 0.05
 _REQUEST_TIMEOUT_S = 30.0
+_MAX_BODY_BYTES = 1 << 20
 
 _FINISHED = object()
 
@@ -287,7 +290,19 @@ class _GatewayHandler(BaseHTTPRequestHandler):
         if self.path != "/v1/generate":
             self._send_json(404, {"error": f"no such path: {self.path}"})
             return
-        length = int(self.headers.get("Content-Length") or 0)
+        raw_length = (self.headers.get("Content-Length") or "0").strip()
+        if not (raw_length.isascii() and raw_length.isdigit()):
+            self._send_json(
+                400,
+                {"violations": [f"Content-Length must be an integer >= 0, got {raw_length!r}"]},
+            )
+            return
+        length = int(raw_length)
+        if length > _MAX_BODY_BYTES:
+            self._send_json(
+                413, {"error": f"body of {length} bytes exceeds {_MAX_BODY_BYTES} bytes"}
+            )
+            return
         try:
             body = json.loads(self.rfile.read(length) or b"null")
         except json.JSONDecodeError as error:
@@ -504,11 +519,12 @@ def bench(replicas: ReplicaSet, workload: WorkloadConfig) -> RunReport:
     failures = [0] * users
 
     def worker(user_index: int) -> None:
-        rng = rng_split(Rng(workload.seed), user_index)
-        fixed = pinned_adapter(workload, user_index)
+        user = User(user_index, workload)
         sequence = 0
         while _now_ms(origin) < workload.duration_ms:
-            payload, rng = sample_payload(rng, workload, fixed_adapter=fixed)
+            payload, user.rng = sample_payload(
+                user.rng, workload, fixed_adapter=user.pinned_adapter
+            )
             endpoint = pick()
             sequence += 1
             attempts[user_index] += 1

@@ -75,8 +75,9 @@ def derive(record: RequestRecord) -> DerivedMetrics:
     """
     ttft = record.first_token_ms - record.submit_ms
     streaming = record.last_token_ms - record.first_token_ms
-    if record.output_tokens_emitted >= 2 and streaming > 0:
-        throughput = (record.output_tokens_emitted - 1) / (streaming / 1000.0)
+    seconds = streaming / 1000.0
+    if record.output_tokens_emitted >= 2 and seconds > 0:
+        throughput = (record.output_tokens_emitted - 1) / seconds
     else:
         throughput = None
     return DerivedMetrics(

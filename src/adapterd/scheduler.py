@@ -28,10 +28,9 @@ class UnknownRequestError(KeyError):
 
 @dataclass(frozen=True)
 class AdmissionPlan:
-    """Requests admitted this step, each bound to its own adapter (the mask)."""
+    """Requests admitted this step; each decodes under its own ``request.adapter``."""
 
-    admitted: tuple[tuple[Request, str], ...]
-    skipped_nonresident: frozenset[str]
+    admitted: tuple[Request, ...]
 
 
 class Scheduler:
@@ -59,8 +58,7 @@ class Scheduler:
             (a for a, q in self._queues.items() if q),
             key=lambda a: (self._last_served.get(a, -1), a),
         )
-        admitted: list[tuple[Request, str]] = []
-        skipped: set[str] = set()
+        admitted: list[Request] = []
         contributed: set[str] = set()
         resident: dict[str, bool] = {}
         progress = True
@@ -70,16 +68,14 @@ class Scheduler:
                 if budget <= 0 or free_slots <= 0:
                     break
                 queue = self._queues.get(adapter)
-                if not queue or adapter in skipped:
+                if not queue:
                     continue
                 if adapter not in resident:
-                    outcome = cache.touch(adapter, now)
-                    resident[adapter] = outcome.resident
-                    if not outcome.resident:
-                        skipped.add(adapter)
-                        continue
+                    resident[adapter] = cache.touch(adapter, now).resident
+                if not resident[adapter]:
+                    continue
                 request = queue.popleft()
-                admitted.append((request, adapter))
+                admitted.append(request)
                 self._queued_ids.discard(request.id)
                 self._in_flight.add(request.id)
                 contributed.add(adapter)
@@ -90,7 +86,7 @@ class Scheduler:
             self._last_served[adapter] = step
         for adapter in [a for a, q in self._queues.items() if not q]:
             del self._queues[adapter]
-        return AdmissionPlan(tuple(admitted), frozenset(skipped))
+        return AdmissionPlan(tuple(admitted))
 
     def on_complete(self, request_id: str) -> None:
         if request_id not in self._in_flight:
@@ -99,9 +95,6 @@ class Scheduler:
 
     def has_backlog(self) -> bool:
         return any(self._queues.values())
-
-    def queued_count(self) -> int:
-        return sum(len(q) for q in self._queues.values())
 
     @property
     def in_flight_count(self) -> int:

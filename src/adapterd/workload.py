@@ -2,9 +2,11 @@
 
 Each simulated user is a closed loop with zero think time: submit a request,
 wait for its last token, submit the next one at that same instant, and stop
-submitting once the run deadline has passed.  Users carry independent
-deterministic random streams derived from the run seed and their global user
-index, so replica layouts and user counts never perturb each other's draws.
+submitting once the run deadline has passed.  A :class:`User` carries an
+independent deterministic random stream derived from the run seed and its
+global user index, so replica layouts and user counts never perturb each
+other's draws; :func:`user_tick` is the loop's only decision, taken whenever
+the user is idle.
 
 Payload sampling draws, in a fixed order: the task profile (when profiles are
 configured), the input length, the output length, and finally the adapter.
@@ -14,7 +16,7 @@ stream untouched.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .core import (
     BASE_ADAPTER,
@@ -27,12 +29,7 @@ from .core import (
 
 __all__ = [
     "Payload",
-    "Stop",
-    "Submit",
-    "UserState",
-    "Wait",
-    "initial_user_state",
-    "pinned_adapter",
+    "User",
     "sample_payload",
     "user_tick",
 ]
@@ -47,37 +44,23 @@ class Payload:
     output_tokens: int
 
 
-@dataclass(frozen=True)
-class UserState:
-    """Closed-loop user automaton state."""
+class User:
+    """One closed-loop user: its private random stream and its pinned adapter.
 
-    user_id: int
-    rng: Rng
-    phase: str = "idle"  # "idle" | "waiting" | "stopped"
+    Under per-user assignment user i always targets adapter i mod n_adapters;
+    otherwise ``pinned_adapter`` is None and every request draws its adapter.
+    """
 
-    def completed(self) -> "UserState":
-        """Return the state after the user's in-flight request finished."""
-        return replace(self, phase="idle")
+    __slots__ = ("user_id", "rng", "pinned_adapter")
 
-
-@dataclass(frozen=True)
-class Submit:
-    payload: Payload
-
-
-@dataclass(frozen=True)
-class Wait:
-    pass
-
-
-@dataclass(frozen=True)
-class Stop:
-    pass
-
-
-def initial_user_state(user_id: int, workload: WorkloadConfig) -> UserState:
-    """Seed a user's private random stream from the run seed and user index."""
-    return UserState(user_id=user_id, rng=rng_split(Rng(workload.seed), user_id))
+    def __init__(self, user_id: int, workload: WorkloadConfig) -> None:
+        self.user_id = user_id
+        self.rng = rng_split(Rng(workload.seed), user_id)
+        self.pinned_adapter = (
+            adapter_name(user_id % workload.n_adapters)
+            if workload.adapter_assignment == "per_user" and workload.n_adapters > 0
+            else None
+        )
 
 
 def sample_payload(
@@ -103,21 +86,11 @@ def sample_payload(
     return Payload(adapter=adapter, input_tokens=input_tokens, output_tokens=output_tokens), rng
 
 
-def pinned_adapter(workload: WorkloadConfig, user_id: int) -> str | None:
-    """Adapter a user is pinned to under per-user assignment, else None."""
-    if workload.adapter_assignment == "per_user" and workload.n_adapters > 0:
-        return adapter_name(user_id % workload.n_adapters)
-    return None
-
-
 def user_tick(
-    state: UserState, now: float, deadline: float, workload: WorkloadConfig
-) -> tuple[Submit | Wait | Stop, UserState]:
-    """Advance one user's automaton at the given instant."""
-    if state.phase == "waiting":
-        return Wait(), state
-    if state.phase == "stopped" or now >= deadline:
-        return Stop(), replace(state, phase="stopped")
-    fixed = pinned_adapter(workload, state.user_id)
-    payload, rng = sample_payload(state.rng, workload, fixed_adapter=fixed)
-    return Submit(payload), replace(state, rng=rng, phase="waiting")
+    user: User, now: float, deadline: float, workload: WorkloadConfig
+) -> Payload | None:
+    """The idle user's next request at `now`, or None once the deadline has passed."""
+    if now >= deadline:
+        return None
+    payload, user.rng = sample_payload(user.rng, workload, fixed_adapter=user.pinned_adapter)
+    return payload

@@ -124,9 +124,10 @@ def test_simulate_replicas_split_and_merge(tmp_path):
 
 
 def test_simulate_rejects_live_mode(tmp_path, capsys):
+    # Scenarios have no execution mode: a "mode" key is an unknown field.
     path = _scenario_file(tmp_path, mode="live")
     assert main(["simulate", str(path)]) == 2
-    assert "live" in capsys.readouterr().err
+    assert "unknown fields ['mode']" in capsys.readouterr().err
 
 
 def test_simulate_rejects_unknown_scenario_field(tmp_path, capsys):

@@ -181,7 +181,6 @@ def test_scenario_round_trip():
             ],
         },
         "replicas": 2,
-        "mode": "virtual",
     }
     scenario = scenario_from_dict(raw)
     assert scenario.name == "tiny"

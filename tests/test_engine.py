@@ -21,10 +21,10 @@ import pytest
 from adapterd.core import EngineConfig, Request, WorkloadConfig
 from adapterd.engine import (
     EngineCore,
+    decode_gap,
     prefill_time,
     run,
     single_request_timeline,
-    step_duration,
 )
 
 TOL = 1e-9
@@ -53,13 +53,11 @@ def test_prefill_time_reference():
         prefill_time(config, 0)
 
 
-def test_step_duration_reference():
+def test_decode_gap_reference():
     config = EngineConfig()
-    assert step_duration(config, 1, [100], 0) == pytest.approx(107.6, abs=TOL)
-    assert step_duration(config, 4, [], 0) == pytest.approx(14.4, abs=TOL)
-    assert step_duration(config, 2, [10, 20], 2) == pytest.approx(177.9, abs=TOL)
-    with pytest.raises(ValueError):
-        step_duration(config, 0, [], 0)
+    assert decode_gap(config, 0) == pytest.approx(12.0, abs=TOL)
+    assert decode_gap(config, 1) == pytest.approx(12.6, abs=TOL)
+    assert decode_gap(config, 4) == pytest.approx(14.4, abs=TOL)
 
 
 def test_single_request_timeline_reference():

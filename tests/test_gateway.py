@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import socket
 import urllib.error
 import urllib.request
 
@@ -10,7 +11,7 @@ import pytest
 
 from adapterd.core import EngineConfig, WorkloadConfig, adapter_name
 from adapterd.engine import run
-from adapterd.gateway import ReplicaSet, bench, pick_replica, start_server
+from adapterd.gateway import _MAX_BODY_BYTES, ReplicaSet, bench, pick_replica, start_server
 
 
 def _post(url, body, timeout=10.0):
@@ -237,3 +238,29 @@ def test_live_averages_match_virtual_model():
         handle.stop()
     live_avg = live.summary["total_request_ms"]["average"]
     assert live_avg == pytest.approx(virtual_avg, rel=0.10)
+
+
+def _raw_post(port, content_length, timeout=5.0):
+    """Send headers only with the given Content-Length; return the status line."""
+    with socket.create_connection(("127.0.0.1", port), timeout=timeout) as sock:
+        sock.sendall(
+            b"POST /v1/generate HTTP/1.0\r\nContent-Type: application/json\r\n"
+            + f"Content-Length: {content_length}\r\n\r\n".encode("ascii")
+        )
+        reply = b""
+        while chunk := sock.recv(4096):
+            reply += chunk
+    head, _, body = reply.partition(b"\r\n\r\n")
+    return head.split(b"\r\n", 1)[0].decode("ascii"), json.loads(body)
+
+
+@pytest.mark.parametrize(
+    ("content_length", "status"),
+    [("abc", 400), ("-1", 400), (str(_MAX_BODY_BYTES + 1), 413)],
+)
+def test_bad_content_length_answered_without_traceback(server, capfd, content_length, status):
+    status_line, body = _raw_post(server.port, content_length)
+    assert status_line.split()[1] == str(status)
+    if status == 400:
+        assert body["violations"] and content_length in body["violations"][0]
+    assert capfd.readouterr().err == ""

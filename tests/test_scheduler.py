@@ -30,7 +30,7 @@ def test_enqueue_fifo_order():
     sched.enqueue(_req("r1", adapter_name(0)))
     sched.enqueue(_req("r2", adapter_name(0)))
     plan = sched.plan_admission(_warm_cache(), 0.0, free_slots=8, budget=8, step=0)
-    assert [req.id for req, _ in plan.admitted] == ["r1", "r2"]
+    assert [req.id for req in plan.admitted] == ["r1", "r2"]
 
 
 def test_enqueue_duplicate_id_rejected():
@@ -54,8 +54,7 @@ def test_plan_normative_example():
     sched.enqueue(_req("b1", b))
     sched.enqueue(_req("c1", c))
     plan = sched.plan_admission(cache, 2205.0, free_slots=3, budget=3, step=1)
-    assert [req.id for req, _ in plan.admitted] == ["a1", "b1", "a2"]
-    assert plan.skipped_nonresident == frozenset({c})
+    assert [req.id for req in plan.admitted] == ["a1", "b1", "a2"]
     # The skipped adapter's load was triggered by the plan.
     assert cache.snapshot()[c].tier == "in_transit"
 
@@ -64,7 +63,6 @@ def test_plan_empty_queues():
     sched = Scheduler()
     plan = sched.plan_admission(_warm_cache(), 0.0, free_slots=8, budget=8, step=0)
     assert plan.admitted == ()
-    assert plan.skipped_nonresident == frozenset()
 
 
 def test_plan_least_recently_served_order():
@@ -77,9 +75,9 @@ def test_plan_least_recently_served_order():
     sched.enqueue(_req("a2", a))
     plan = sched.plan_admission(cache, 1.0, free_slots=1, budget=1, step=5)
     # b was never served (last_served -1 < 3), so b1 goes first.
-    assert [req.id for req, _ in plan.admitted] == ["b1"]
+    assert [req.id for req in plan.admitted] == ["b1"]
     plan = sched.plan_admission(cache, 2.0, free_slots=1, budget=1, step=6)
-    assert [req.id for req, _ in plan.admitted] == ["a2"]
+    assert [req.id for req in plan.admitted] == ["a2"]
 
 
 def test_plan_respects_free_slots():
@@ -94,7 +92,7 @@ def test_plan_admits_base_adapter():
     sched = Scheduler()
     sched.enqueue(_req("r1", BASE_ADAPTER))
     plan = sched.plan_admission(_cold_cache(), 0.0, free_slots=8, budget=8, step=0)
-    assert [req.id for req, _ in plan.admitted] == ["r1"]
+    assert [req.id for req in plan.admitted] == ["r1"]
 
 
 def test_plan_mask_binds_request_to_own_adapter():
@@ -102,8 +100,11 @@ def test_plan_mask_binds_request_to_own_adapter():
     sched.enqueue(_req("r1", adapter_name(1)))
     sched.enqueue(_req("r2", adapter_name(0)))
     plan = sched.plan_admission(_warm_cache(), 0.0, free_slots=8, budget=8, step=0)
-    for req, adapter in plan.admitted:
-        assert req.adapter == adapter
+    # Sweep order is by adapter id, and each request keeps the adapter it was queued under.
+    assert [(req.id, req.adapter) for req in plan.admitted] == [
+        ("r2", adapter_name(0)),
+        ("r1", adapter_name(1)),
+    ]
 
 
 def test_on_complete_lifecycle():
@@ -129,10 +130,10 @@ def test_interleaved_lifecycle_replay():
     sched.enqueue(_req("r2", adapter_name(1)))
     sched.enqueue(_req("r3", adapter_name(0)))
     plan = sched.plan_admission(cache, 0.0, free_slots=2, budget=2, step=0)
-    assert [req.id for req, _ in plan.admitted] == ["r1", "r2"]
+    assert [req.id for req in plan.admitted] == ["r1", "r2"]
     sched.on_complete("r1")
     plan = sched.plan_admission(cache, 1.0, free_slots=2, budget=2, step=1)
-    assert [req.id for req, _ in plan.admitted] == ["r3"]
+    assert [req.id for req in plan.admitted] == ["r3"]
     sched.on_complete("r2")
     sched.on_complete("r3")
     assert sched.in_flight_count == 0

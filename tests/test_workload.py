@@ -1,4 +1,4 @@
-"""Synthetic workload sampling and closed-loop user state transitions."""
+"""Synthetic workload sampling and the closed-loop user's next-request decision."""
 
 from __future__ import annotations
 
@@ -13,16 +13,7 @@ from adapterd.core import (
     adapter_name,
     rng_split,
 )
-from adapterd.workload import (
-    Payload,
-    Stop,
-    Submit,
-    UserState,
-    Wait,
-    initial_user_state,
-    sample_payload,
-    user_tick,
-)
+from adapterd.workload import Payload, User, sample_payload, user_tick
 
 
 def _workload(**overrides) -> WorkloadConfig:
@@ -120,56 +111,44 @@ def test_multiple_task_profiles_all_reachable(seed):
 
 
 def test_idle_user_submits_before_deadline():
-    workload = _workload()
-    state = initial_user_state(0, workload)
-    action, state2 = user_tick(state, now=0.0, deadline=120_000.0, workload=workload)
-    assert isinstance(action, Submit)
-    assert isinstance(action.payload, Payload)
-    assert state2.phase == "waiting"
-    assert state2.rng != state.rng
-
-
-def test_waiting_user_waits():
-    workload = _workload()
-    state = UserState(user_id=0, rng=Rng(1), phase="waiting")
-    action, state2 = user_tick(state, now=50.0, deadline=120_000.0, workload=workload)
-    assert isinstance(action, Wait)
-    assert state2 == state
+    """The user draws from its own stream, split from the run seed by user index."""
+    workload = _workload(seed=42)
+    user = User(5, workload)
+    payload = user_tick(user, now=0.0, deadline=120_000.0, workload=workload)
+    assert isinstance(payload, Payload)
+    assert (payload, user.rng) == sample_payload(rng_split(Rng(42), 5), workload)
 
 
 def test_idle_user_stops_at_deadline():
     workload = _workload()
-    state = initial_user_state(0, workload)
-    action, state2 = user_tick(state, now=120_000.0, deadline=120_000.0, workload=workload)
-    assert isinstance(action, Stop)
-    assert state2.phase == "stopped"
+    user = User(0, workload)
+    start = user.rng
+    assert user_tick(user, now=120_000.0, deadline=120_000.0, workload=workload) is None
+    assert user.rng == start
 
 
 def test_zero_think_time_resubmit_at_same_instant():
     """A user completing before the deadline submits again with no idle gap."""
     workload = _workload()
-    state = initial_user_state(3, workload)
-    action, state = user_tick(state, now=0.0, deadline=120_000.0, workload=workload)
-    assert isinstance(action, Submit)
-    state = state.completed()
-    action, state = user_tick(state, now=431.5, deadline=120_000.0, workload=workload)
-    assert isinstance(action, Submit)
+    user = User(3, workload)
+    first = user_tick(user, now=0.0, deadline=120_000.0, workload=workload)
+    second = user_tick(user, now=431.5, deadline=120_000.0, workload=workload)
+    assert isinstance(first, Payload) and isinstance(second, Payload)
 
 
 def test_per_user_assignment_pins_adapter():
     workload = _workload(n_adapters=25, adapter_assignment="per_user", users=25)
     for user_id in (0, 7, 24, 25, 31):
-        state = initial_user_state(user_id, workload)
-        action, _ = user_tick(state, now=0.0, deadline=1000.0, workload=workload)
-        assert isinstance(action, Submit)
-        assert action.payload.adapter == adapter_name(user_id % 25)
+        user = User(user_id, workload)
+        assert user.pinned_adapter == adapter_name(user_id % 25)
+        payload = user_tick(user, now=0.0, deadline=1000.0, workload=workload)
+        assert payload.adapter == adapter_name(user_id % 25)
 
 
 def test_distinct_users_draw_distinct_streams():
     workload = _workload()
-    states = [initial_user_state(i, workload) for i in range(8)]
     payloads = []
-    for state in states:
-        action, _ = user_tick(state, now=0.0, deadline=1000.0, workload=workload)
-        payloads.append((action.payload.input_tokens, action.payload.output_tokens))
+    for user_id in range(8):
+        payload = user_tick(User(user_id, workload), now=0.0, deadline=1000.0, workload=workload)
+        payloads.append((payload.input_tokens, payload.output_tokens))
     assert len(set(payloads)) > 1
