@@ -292,16 +292,12 @@ class _GatewayHandler(BaseHTTPRequestHandler):
             return
         raw_length = (self.headers.get("Content-Length") or "0").strip()
         if not (raw_length.isascii() and raw_length.isdigit()):
-            self._send_json(
-                400,
-                {"violations": [f"Content-Length must be an integer >= 0, got {raw_length!r}"]},
-            )
+            violation = f"Content-Length must be an integer >= 0, got {raw_length!r}"
+            self._send_json(400, {"violations": [violation]})
             return
         length = int(raw_length)
         if length > _MAX_BODY_BYTES:
-            self._send_json(
-                413, {"error": f"body of {length} bytes exceeds {_MAX_BODY_BYTES} bytes"}
-            )
+            self._send_json(413, {"error": f"body exceeds {_MAX_BODY_BYTES} bytes"})
             return
         try:
             body = json.loads(self.rfile.read(length) or b"null")
