@@ -31,6 +31,7 @@ from .profiler import (
     QUALITY_METRICS,
     compute_profile,
     fit_lift_model,
+    join_tasks,
     load_examples_jsonl,
     load_quality_records,
     load_task_profiles,
@@ -182,53 +183,37 @@ def cmd_profile(args: argparse.Namespace) -> int:
     return 0
 
 
-def _aligned_lift_data(
-    profiles_path: str, quality_path: str, target: str
-) -> tuple[list[str], list[list[float]], list[float], list[float]]:
-    """Join profile and quality tables on task name; error on any mismatch."""
-    profiles = {p.name: p for p in load_task_profiles(profiles_path)}
-    quality = {q.name: q for q in load_quality_records(quality_path)}
-    if set(profiles) != set(quality):
-        only_profiles = sorted(set(profiles) - set(quality))
-        only_quality = sorted(set(quality) - set(profiles))
-        raise ValueError(
-            f"task names differ: only in profiles {only_profiles}, only in quality {only_quality}"
-        )
-    names = sorted(profiles)
-    matrix = [profile_features(profiles[name]) for name in names]
-    y = [getattr(quality[name], target) for name in names]
-    base_scores = [quality[name].avg_base_score for name in names]
-    return names, matrix, y, base_scores
-
-
 def cmd_lift(args: argparse.Namespace) -> int:
-    names, matrix, y, base_scores = _aligned_lift_data(args.profiles, args.quality, args.target)
-    augmented = [row + [score] for row, score in zip(matrix, base_scores)]
-    augmented_names = PROFILE_FEATURES + ("avg_base_score",)
-    model = fit_lift_model(matrix, y, PROFILE_FEATURES, args.target)
-    augmented_model = fit_lift_model(augmented, y, augmented_names, args.target)
+    pairs = join_tasks(load_task_profiles(args.profiles), load_quality_records(args.quality))
+    matrix = [profile_features(profile) for profile, _ in pairs]
+    y = [getattr(record, args.target) for _, record in pairs]
+    # (label, JSON key suffix, feature rows, feature names) of each fitted model.
+    variants = [("profile features", "", matrix, PROFILE_FEATURES)]
+    leaked = args.target == "avg_base_score"
+    if not leaked:
+        augmented = [row + [record.avg_base_score] for row, (_, record) in zip(matrix, pairs)]
+        names = PROFILE_FEATURES + ("avg_base_score",)
+        variants.append(("profile features + avg_base_score", "_with_base_score", augmented, names))
+    models = [fit_lift_model(rows, y, names, args.target) for _, _, rows, names in variants]
+    model = models[0]
 
-    lines = [
-        f"target: {args.target}",
-        f"tasks: {len(names)}",
-        f"in-sample RMSE (profile features): {model.train_rmse:.4f}",
-        f"in-sample RMSE (profile features + avg_base_score): {augmented_model.train_rmse:.4f}",
-    ]
+    lines = [f"target: {args.target}", f"tasks: {len(y)}"]
     result: dict = {
         "target": args.target,
-        "n_tasks": len(names),
-        "rmse_insample": model.train_rmse,
-        "rmse_insample_with_base_score": augmented_model.train_rmse,
+        "n_tasks": len(y),
         "weights": dict(zip(model.feature_names, model.weights)),
         "intercept": model.intercept,
     }
+    for (label, suffix, _, _), fitted in zip(variants, models):
+        lines.append(f"in-sample RMSE ({label}): {fitted.train_rmse:.4f}")
+        result["rmse_insample" + suffix] = fitted.train_rmse
     if args.mode == "loo":
-        loo = loo_rmse(matrix, y, PROFILE_FEATURES, args.target)
-        loo_augmented = loo_rmse(augmented, y, augmented_names, args.target)
-        lines.append(f"LOO RMSE (profile features): {loo:.4f}")
-        lines.append(f"LOO RMSE (profile features + avg_base_score): {loo_augmented:.4f}")
-        result["rmse_loo"] = loo
-        result["rmse_loo_with_base_score"] = loo_augmented
+        for label, suffix, rows, names in variants:
+            loo = loo_rmse(rows, y, names, args.target)
+            lines.append(f"LOO RMSE ({label}): {loo:.4f}")
+            result["rmse_loo" + suffix] = loo
+    if leaked:
+        lines.append("no model with avg_base_score as a feature: it is the target")
     lines.append("weights (z-scored profile features):")
     for feature, weight in zip(model.feature_names, model.weights):
         lines.append(f"  {feature:<24}{weight:+.4f}")

@@ -16,7 +16,8 @@ Protocol, all under one port:
   line per token followed by ``data: [DONE]``.  Malformed bodies, and a
   ``Content-Length`` that is not a non-negative integer, get a 400 with the
   full violation list; a body over ``_MAX_BODY_BYTES`` gets a 413 unread;
-  unknown adapters get a 404.
+  unknown adapters get a 404.  A connection that stalls for
+  ``_READ_TIMEOUT_S`` is closed without a reply.
 * ``GET /healthz`` -- liveness probe, plain ``ok``.
 * ``GET /v1/metrics`` -- the run-so-far report as JSON.
 
@@ -63,6 +64,8 @@ _PORT_ENV_VAR = "ADAPTERD_PORT"
 _FAILURE_BACKOFF_S = 0.05
 _REQUEST_TIMEOUT_S = 30.0
 _MAX_BODY_BYTES = 1 << 20
+# http.server quietly drops a connection whose socket read or write stalls this long.
+_READ_TIMEOUT_S = 10.0
 
 _FINISHED = object()
 
@@ -261,6 +264,7 @@ class _GatewayServer(ThreadingHTTPServer):
 
 class _GatewayHandler(BaseHTTPRequestHandler):
     server: _GatewayServer
+    timeout = _READ_TIMEOUT_S
 
     def log_message(self, format: str, *args: object) -> None:  # noqa: A002
         pass  # Keep the serving path quiet; metrics carry the signal.

@@ -20,7 +20,7 @@ import math
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -35,13 +35,12 @@ __all__ = [
     "QUALITY_METRICS",
     "QualityRecord",
     "TaskProfile",
-    "ZScoreResult",
     "bundled_fixture_path",
     "compressibility",
     "compute_profile",
     "correlation_report",
     "fit_lift_model",
-    "fit_ols",
+    "join_tasks",
     "load_examples_jsonl",
     "load_quality_records",
     "load_task_profiles",
@@ -52,7 +51,6 @@ __all__ = [
     "profile_to_json_dict",
     "rmse",
     "rouge_l",
-    "zscore",
 ]
 
 
@@ -247,36 +245,6 @@ def profile_to_json_dict(profile: TaskProfile) -> dict:
 # Statistics
 
 
-@dataclass(frozen=True)
-class ZScoreResult:
-    """Z-scored matrix with constant columns removed."""
-
-    matrix: list[list[float]]
-    means: list[float]
-    stds: list[float]
-    kept_columns: tuple[int, ...]
-    dropped_columns: tuple[int, ...]
-
-
-def zscore(matrix: Sequence[Sequence[float]]) -> ZScoreResult:
-    """Normalize each column to mean 0 / population std 1; drop constants."""
-    if len(matrix) < 2:
-        raise ValueError("zscore requires at least 2 rows")
-    data = np.asarray(matrix, dtype=float)
-    means = data.mean(axis=0)
-    stds = data.std(axis=0)
-    kept = tuple(int(i) for i in np.flatnonzero(stds > 0))
-    dropped = tuple(int(i) for i in np.flatnonzero(stds == 0))
-    normalized = (data[:, kept] - means[list(kept)]) / stds[list(kept)]
-    return ZScoreResult(
-        matrix=[list(map(float, row)) for row in normalized],
-        means=[float(means[i]) for i in kept],
-        stds=[float(stds[i]) for i in kept],
-        kept_columns=kept,
-        dropped_columns=dropped,
-    )
-
-
 def rmse(predicted: Sequence[float], actual: Sequence[float]) -> float:
     if len(predicted) != len(actual) or not predicted:
         raise ValueError("rmse requires equal non-empty vectors")
@@ -308,8 +276,8 @@ def pearson(xs: Sequence[float], ys: Sequence[float]) -> float | None:
 class LiftModel:
     """Linear predictor of a quality metric from profile features.
 
-    ``feature_means``/``feature_stds`` hold the normalization applied before
-    the weights; models fit on raw features carry the identity normalization.
+    ``feature_means``/``feature_stds`` hold the z-scoring applied to each
+    kept feature before the weights.
     """
 
     target: str
@@ -321,44 +289,33 @@ class LiftModel:
     train_rmse: float
 
 
-def fit_ols(
-    matrix: Sequence[Sequence[float]],
-    y: Sequence[float],
-    *,
-    feature_names: tuple[str, ...] | None = None,
-    target: str = "y",
-) -> LiftModel:
-    """Least-squares fit with intercept on the matrix as given.
+# A row whose 1 - h_ii is at or below this has leverage 1: the other rows fit
+# it exactly whatever its target, so it has no leave-one-out prediction.
+_LEVERAGE_SLACK = 1e-9
 
-    Rank-deficient systems get the minimum-norm solution.  The matrix is not
-    normalized here; use :func:`fit_lift_model` for the z-scored pipeline.
+
+def _zscored_design(
+    matrix: Sequence[Sequence[float]], y: Sequence[float], feature_names: tuple[str, ...]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Validated design for a lift fit: z-scored columns, no constants, intercept last.
+
+    Also returns the target vector and the kept columns' indices, means and stds.
     """
     if len(matrix) != len(y):
         raise ValueError(f"matrix has {len(matrix)} rows but y has {len(y)}")
     if len(y) < 2:
-        raise ValueError("fit_ols requires at least 2 rows")
+        raise ValueError("a lift fit requires at least 2 rows")
     data = np.asarray(matrix, dtype=float)
     if data.ndim != 2:
         raise ValueError("matrix rows must be equal-length feature vectors")
-    n_features = data.shape[1]
-    if feature_names is None:
-        feature_names = tuple(f"x{i}" for i in range(n_features))
-    if len(feature_names) != n_features:
-        raise ValueError(
-            f"{len(feature_names)} feature names for {n_features} columns"
-        )
-    design = np.hstack([data, np.ones((len(y), 1))])
-    solution, *_ = np.linalg.lstsq(design, np.asarray(y, dtype=float), rcond=None)
-    predictions = design @ solution
-    return LiftModel(
-        target=target,
-        feature_names=tuple(feature_names),
-        weights=tuple(float(w) for w in solution[:-1]),
-        intercept=float(solution[-1]),
-        feature_means=tuple(0.0 for _ in range(n_features)),
-        feature_stds=tuple(1.0 for _ in range(n_features)),
-        train_rmse=rmse(list(predictions), list(y)),
-    )
+    if len(feature_names) != data.shape[1]:
+        raise ValueError(f"{len(feature_names)} feature names for {data.shape[1]} columns")
+    means = data.mean(axis=0)
+    stds = data.std(axis=0)
+    kept = np.flatnonzero(stds > 0)
+    design = np.ones((len(y), len(kept) + 1))
+    design[:, :-1] = (data[:, kept] - means[kept]) / stds[kept]
+    return design, np.asarray(y, dtype=float), kept, means[kept], stds[kept]
 
 
 def fit_lift_model(
@@ -367,34 +324,28 @@ def fit_lift_model(
     feature_names: tuple[str, ...],
     target: str,
 ) -> LiftModel:
-    """Z-score the features (dropping constants), then least-squares fit."""
-    scored = zscore(matrix)
-    kept_names = tuple(feature_names[i] for i in scored.kept_columns)
-    fitted = fit_ols(scored.matrix, y, feature_names=kept_names, target=target)
+    """Z-score the features (dropping constants), then least-squares fit.
+
+    Rank-deficient systems get the minimum-norm solution.
+    """
+    design, target_values, kept, means, stds = _zscored_design(matrix, y, feature_names)
+    solution, *_ = np.linalg.lstsq(design, target_values, rcond=None)
     return LiftModel(
         target=target,
-        feature_names=kept_names,
-        weights=fitted.weights,
-        intercept=fitted.intercept,
-        feature_means=tuple(scored.means),
-        feature_stds=tuple(scored.stds),
-        train_rmse=fitted.train_rmse,
+        feature_names=tuple(feature_names[i] for i in kept),
+        weights=tuple(float(w) for w in solution[:-1]),
+        intercept=float(solution[-1]),
+        feature_means=tuple(float(m) for m in means),
+        feature_stds=tuple(float(s) for s in stds),
+        train_rmse=rmse((design @ solution).tolist(), list(y)),
     )
 
 
-def predict(model: LiftModel, features: Sequence[float] | Mapping[str, float]) -> float:
-    """Apply the model's stored normalization and weights to one feature row."""
-    if isinstance(features, Mapping):
-        missing = [name for name in model.feature_names if name not in features]
-        if missing:
-            raise ValueError(f"missing features: {', '.join(missing)}")
-        row = [float(features[name]) for name in model.feature_names]
-    else:
-        row = [float(v) for v in features]
-        if len(row) != len(model.feature_names):
-            raise ValueError(
-                f"expected {len(model.feature_names)} features, got {len(row)}"
-            )
+def predict(model: LiftModel, features: Sequence[float]) -> float:
+    """Apply the model's stored z-scoring and weights to one row of its features."""
+    row = [float(v) for v in features]
+    if len(row) != len(model.feature_names):
+        raise ValueError(f"expected {len(model.feature_names)} features, got {len(row)}")
     total = model.intercept
     for value, weight, mean, std in zip(
         row, model.weights, model.feature_means, model.feature_stds
@@ -409,19 +360,28 @@ def loo_rmse(
     feature_names: tuple[str, ...],
     target: str,
 ) -> float:
-    """Leave-one-out RMSE: refit without each row, predict it, pool errors."""
-    if len(matrix) != len(y):
-        raise ValueError(f"matrix has {len(matrix)} rows but y has {len(y)}")
+    """Leave-one-out RMSE of :func:`fit_lift_model` for the ``target`` metric.
+
+    From one fit: with an intercept in the design, the refit without row i
+    misses it by e_i / (1 - h_ii), where e is the full fit's residual and H =
+    D pinv(D) its hat matrix (the PRESS identity), whatever each refit's
+    z-scoring.  Raises ValueError when a row has leverage 1, so that no
+    held-out prediction exists: when there are no more rows than design
+    columns, or a feature varies in that row only.
+    """
+    design, target_values, *_ = _zscored_design(matrix, y, feature_names)
     if len(y) < 3:
         raise ValueError("leave-one-out requires at least 3 rows")
-    predictions = []
-    for i in range(len(y)):
-        train_x = [row for j, row in enumerate(matrix) if j != i]
-        train_y = [v for j, v in enumerate(y) if j != i]
-        model = fit_lift_model(train_x, train_y, feature_names, target)
-        held_out = {name: matrix[i][k] for k, name in enumerate(feature_names)}
-        predictions.append(predict(model, held_out))
-    return rmse(predictions, list(y))
+    hat = design @ np.linalg.pinv(design)
+    free = 1.0 - np.diag(hat)
+    stuck = np.flatnonzero(free <= _LEVERAGE_SLACK)
+    if stuck.size:
+        raise ValueError(
+            f"leave-one-out is undefined: row {int(stuck[0])} of {len(y)} has leverage 1 "
+            f"(the design has {design.shape[1]} columns, or a feature varies in that row only)"
+        )
+    loo_residual = (target_values - hat @ target_values) / free
+    return float(np.sqrt(np.mean(loo_residual**2)))
 
 
 # ---------------------------------------------------------------------------
@@ -437,25 +397,32 @@ class CorrelationReport:
     matrix: list[list[float | None]]
 
 
+def join_tasks(
+    profiles: Sequence[TaskProfile], quality: Sequence[QualityRecord]
+) -> list[tuple[TaskProfile, QualityRecord]]:
+    """Profile/quality pairs in task-name order; ValueError if the name sets differ."""
+    profile_by_name = {p.name: p for p in profiles}
+    quality_by_name = {q.name: q for q in quality}
+    if profile_by_name.keys() != quality_by_name.keys():
+        only_profiles = sorted(profile_by_name.keys() - quality_by_name.keys())
+        only_quality = sorted(quality_by_name.keys() - profile_by_name.keys())
+        raise ValueError(
+            f"task names differ: only in profiles {only_profiles}, only in quality {only_quality}"
+        )
+    return [(profile_by_name[name], quality_by_name[name]) for name in sorted(profile_by_name)]
+
+
 def correlation_report(
     profiles: Sequence[TaskProfile], quality: Sequence[QualityRecord]
 ) -> CorrelationReport:
-    profile_by_name = {p.name: p for p in profiles}
-    quality_by_name = {q.name: q for q in quality}
-    if set(profile_by_name) != set(quality_by_name):
-        only_p = sorted(set(profile_by_name) - set(quality_by_name))
-        only_q = sorted(set(quality_by_name) - set(profile_by_name))
-        raise ValueError(
-            f"task names do not align: profiles-only={only_p}, quality-only={only_q}"
-        )
-    names = sorted(profile_by_name)
-    feature_rows = [profile_features(profile_by_name[n]) for n in names]
+    pairs = join_tasks(profiles, quality)
+    feature_rows = [profile_features(profile) for profile, _ in pairs]
     matrix: list[list[float | None]] = []
     for i, _feature in enumerate(PROFILE_FEATURES):
         xs = [row[i] for row in feature_rows]
         row_out: list[float | None] = []
         for metric in QUALITY_METRICS:
-            ys = [getattr(quality_by_name[n], metric) for n in names]
+            ys = [getattr(record, metric) for _, record in pairs]
             row_out.append(pearson(xs, ys))
         matrix.append(row_out)
     return CorrelationReport(

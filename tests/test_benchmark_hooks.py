@@ -1,9 +1,10 @@
-"""The benchmark's traced run finds every program function it wraps, by name.
+"""The benchmark's hooks and checks, run against the program in tier 1.
 
 ``benchmarks/layers.py`` patches functions where their callers look them up
 (``engine.user_tick``, ``gateway.sample_payload``, ``cli.run`` and so on).
 A rename in the program that breaks ``benchmarks/run.py --trace 1`` fails
-here first.
+here first.  So does a lift fit or leave-one-out RMSE that the
+``profile-lift`` workload's oracle would reject.
 """
 
 from __future__ import annotations
@@ -13,6 +14,17 @@ from pathlib import Path
 
 import adapterd.cli as cli
 import adapterd.engine as engine
+from adapterd.profiler import (
+    PROFILE_FEATURES,
+    QUALITY_METRICS,
+    bundled_fixture_path,
+    fit_lift_model,
+    join_tasks,
+    load_quality_records,
+    load_task_profiles,
+    loo_rmse,
+    profile_features,
+)
 
 BENCHMARKS = Path(__file__).resolve().parent.parent / "benchmarks"
 
@@ -55,3 +67,26 @@ def test_layers_install_wraps_and_unwraps(monkeypatch, tmp_path, capsys):
     # run() asks each user once at t=0 and once after each of its completions.
     assert totals["workload.user_tick"]["calls"] == 3 + completed
     assert totals["engine.run"]["calls"] == 1
+
+
+def test_lift_fits_pass_the_benchmark_oracle(monkeypatch):
+    monkeypatch.syspath_prepend(str(BENCHMARKS))
+    import oracles
+
+    pairs = join_tasks(
+        load_task_profiles(bundled_fixture_path("task_profiles.csv")),
+        load_quality_records(bundled_fixture_path("quality_records.csv")),
+    )
+    matrix = [profile_features(p) for p, _ in pairs]
+    augmented = [row + [q.avg_base_score] for row, (_, q) in zip(matrix, pairs)]
+    failures = []
+    for target in QUALITY_METRICS:
+        y = [getattr(q, target) for _, q in pairs]
+        for label, rows, names in (
+            (target, matrix, PROFILE_FEATURES),
+            (f"{target}+avg_base_score", augmented, PROFILE_FEATURES + ("avg_base_score",)),
+        ):
+            train = fit_lift_model(rows, y, names, target).train_rmse
+            loo = loo_rmse(rows, y, names, target)
+            failures += oracles.check_lift(train, loo, rows, y, label)
+    assert failures == []

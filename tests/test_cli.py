@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import re
+from pathlib import Path
 
 import pytest
 
@@ -194,10 +195,36 @@ def test_lift_insample_reproduces_reference_rmse(capsys):
 
 
 def test_lift_loo_mode_prints_holdout_rmse(capsys):
-    assert main(_lift_args("avg_base_score", "--mode", "loo")) == 0
+    assert main(_lift_args("gpt4_score", "--mode", "loo")) == 0
     out = capsys.readouterr().out
-    assert "LOO RMSE (profile features):" in out
-    assert "LOO RMSE (profile features + avg_base_score):" in out
+    assert "LOO RMSE (profile features): 0.7018" in out
+    assert "LOO RMSE (profile features + avg_base_score): 0.7627" in out
+
+
+def test_lift_base_score_target_skips_the_leaked_model(tmp_path, capsys):
+    out = tmp_path / "lift.json"
+    assert main(_lift_args("avg_base_score", "--mode", "loo", "--output", str(out))) == 0
+    text = capsys.readouterr().out
+    assert "in-sample RMSE (profile features): 0.0987" in text
+    assert "LOO RMSE (profile features): 1.2704" in text
+    assert "+ avg_base_score" not in text
+    assert "no model with avg_base_score as a feature: it is the target" in text
+    payload = json.loads(out.read_text())
+    assert {"rmse_insample", "rmse_loo"} <= set(payload)
+    assert not [key for key in payload if key.endswith("_with_base_score")]
+
+
+def test_lift_loo_with_leverage_one_exits_2(tmp_path, capsys):
+    # 10 tasks for 14 features plus an intercept: every row is fitted exactly.
+    args = _lift_args("gpt4_score", "--mode", "loo")
+    for flag in ("--profiles", "--quality"):
+        index = args.index(flag) + 1
+        path = tmp_path / Path(args[index]).name
+        lines = Path(args[index]).read_text(encoding="utf-8").splitlines()
+        path.write_text("\n".join(lines[:11]) + "\n", encoding="utf-8")
+        args[index] = str(path)
+    assert main(args) == 2
+    assert "leverage 1" in capsys.readouterr().err
 
 
 def test_lift_output_json(tmp_path):

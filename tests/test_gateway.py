@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import socket
+import time
 import urllib.error
 import urllib.request
 
@@ -11,7 +12,15 @@ import pytest
 
 from adapterd.core import EngineConfig, WorkloadConfig, adapter_name
 from adapterd.engine import run
-from adapterd.gateway import _MAX_BODY_BYTES, ReplicaSet, bench, pick_replica, start_server
+from adapterd.gateway import (
+    _MAX_BODY_BYTES,
+    _READ_TIMEOUT_S,
+    ReplicaSet,
+    _GatewayHandler,
+    bench,
+    pick_replica,
+    start_server,
+)
 
 
 def _post(url, body, timeout=10.0):
@@ -240,27 +249,40 @@ def test_live_averages_match_virtual_model():
     assert live_avg == pytest.approx(virtual_avg, rel=0.10)
 
 
-def _raw_post(port, content_length, timeout=5.0):
-    """Send headers only with the given Content-Length; return the status line."""
+def _raw_post(port, content_length, body=b"", timeout=5.0):
+    """Send a POST with the given Content-Length and body; return the whole reply."""
     with socket.create_connection(("127.0.0.1", port), timeout=timeout) as sock:
         sock.sendall(
             b"POST /v1/generate HTTP/1.0\r\nContent-Type: application/json\r\n"
             + f"Content-Length: {content_length}\r\n\r\n".encode("ascii")
+            + body
         )
         reply = b""
         while chunk := sock.recv(4096):
             reply += chunk
-    head, _, body = reply.partition(b"\r\n\r\n")
-    return head.split(b"\r\n", 1)[0].decode("ascii"), json.loads(body)
+    return reply
 
 
 @pytest.mark.parametrize(
     ("content_length", "status"),
-    [("abc", 400), ("-1", 400), (str(_MAX_BODY_BYTES + 1), 413)],
+    # status None: the body is 2 bytes short of 10, so the read stalls until the
+    # handler's socket timeout closes the connection without a reply.
+    [("abc", 400), ("-1", 400), (str(_MAX_BODY_BYTES + 1), 413), ("10", None)],
 )
-def test_bad_content_length_answered_without_traceback(server, capfd, content_length, status):
-    status_line, body = _raw_post(server.port, content_length)
-    assert status_line.split()[1] == str(status)
-    if status == 400:
-        assert body["violations"] and content_length in body["violations"][0]
+def test_bad_content_length_answered_without_traceback(
+    server, capfd, monkeypatch, content_length, status
+):
+    assert _GatewayHandler.timeout == _READ_TIMEOUT_S
+    monkeypatch.setattr(_GatewayHandler, "timeout", 0.5)
+    start = time.monotonic()
+    reply = _raw_post(server.port, content_length, b"{}" if status is None else b"")
+    if status is None:
+        assert reply == b""
+        assert time.monotonic() - start < 3.0
+    else:
+        head, _, body = reply.partition(b"\r\n\r\n")
+        assert head.split()[1] == str(status).encode("ascii")
+        if status == 400:
+            violations = json.loads(body)["violations"]
+            assert violations and content_length in violations[0]
     assert capfd.readouterr().err == ""

@@ -23,7 +23,7 @@ from adapterd.profiler import (
     compute_profile,
     correlation_report,
     fit_lift_model,
-    fit_ols,
+    join_tasks,
     load_quality_records,
     load_task_profiles,
     loo_rmse,
@@ -32,7 +32,6 @@ from adapterd.profiler import (
     profile_features,
     rmse,
     rouge_l,
-    zscore,
 )
 
 # ---------------------------------------------------------------------------
@@ -173,56 +172,71 @@ def test_compute_profile_empty_rejected():
 
 
 # ---------------------------------------------------------------------------
-# zscore / fit / predict / rmse / pearson
+# fit_lift_model (z-scoring, least squares) / predict / rmse / pearson
+
+
+def _fit(matrix, y, names=None):
+    names = names or tuple(f"x{i}" for i in range(len(matrix[0])))
+    return fit_lift_model(matrix, y, names, "y")
 
 
 def test_zscore_reference_column():
-    result = zscore([[1.0], [2.0], [3.0]])
-    column = [row[0] for row in result.matrix]
+    model = _fit([[1.0], [2.0], [3.0]], [1.0, 2.0, 3.0])
+    assert model.feature_means == pytest.approx((2.0,))
+    assert model.feature_stds == pytest.approx((0.816496580927726,), abs=1e-12)
+    column = [(x - model.feature_means[0]) / model.feature_stds[0] for x in (1.0, 2.0, 3.0)]
     assert column == pytest.approx([-1.224744871391589, 0.0, 1.224744871391589], abs=1e-12)
-    assert result.means == pytest.approx([2.0])
-    assert result.stds == pytest.approx([0.816496580927726], abs=1e-12)
-    assert result.dropped_columns == ()
+    # y equals the raw column, so the z-scored weight is the column's std.
+    assert model.weights == pytest.approx((0.816496580927726,), abs=1e-12)
+    assert model.intercept == pytest.approx(2.0, abs=1e-12)
 
 
 def test_zscore_drops_constant_column():
-    result = zscore([[1.0, 5.0], [2.0, 5.0], [3.0, 5.0]])
-    assert result.dropped_columns == (1,)
-    assert result.kept_columns == (0,)
-    assert all(len(row) == 1 for row in result.matrix)
+    model = _fit([[1.0, 5.0], [2.0, 5.0], [3.0, 5.0]], [1.0, 0.0, 2.0], ("a", "constant"))
+    assert model.feature_names == ("a",)
+    assert len(model.weights) == len(model.feature_means) == len(model.feature_stds) == 1
+    assert predict(model, [2.0]) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_zscore_output_has_zero_mean_unit_std():
     rng = random.Random(3)
     matrix = [[rng.uniform(-5, 5) for _ in range(4)] for _ in range(40)]
-    result = zscore(matrix)
-    cols = np.array(result.matrix)
-    assert np.allclose(cols.mean(axis=0), 0.0, atol=1e-12)
-    assert np.allclose(cols.std(axis=0), 1.0, atol=1e-12)
+    model = _fit(matrix, [rng.uniform(-1, 1) for _ in range(40)])
+    cols = np.array(matrix)
+    assert np.allclose(model.feature_means, cols.mean(axis=0), rtol=0, atol=1e-12)
+    assert np.allclose(model.feature_stds, cols.std(axis=0), rtol=0, atol=1e-12)
+    # The same z-scoring that predict applies leaves each column at mean 0 / std 1.
+    z = (cols - np.array(model.feature_means)) / np.array(model.feature_stds)
+    assert np.allclose(z.mean(axis=0), 0.0, atol=1e-12)
+    assert np.allclose(z.std(axis=0), 1.0, atol=1e-12)
 
 
 def test_zscore_requires_two_rows():
     with pytest.raises(ValueError):
-        zscore([[1.0, 2.0]])
+        _fit([[1.0, 2.0]], [1.0])
 
 
 def test_fit_ols_exact_line():
-    model = fit_ols([[1.0], [2.0], [3.0]], [3.0, 5.0, 7.0])
-    assert model.weights[0] == pytest.approx(2.0, abs=1e-9)
-    assert model.intercept == pytest.approx(1.0, abs=1e-9)
+    model = _fit([[1.0], [2.0], [3.0]], [3.0, 5.0, 7.0])
+    assert model.weights[0] / model.feature_stds[0] == pytest.approx(2.0, abs=1e-9)
+    assert model.intercept == pytest.approx(5.0, abs=1e-9)  # mean y at the mean x
     assert model.train_rmse == pytest.approx(0.0, abs=1e-9)
     assert predict(model, [4.0]) == pytest.approx(9.0, abs=1e-9)
 
 
 def test_fit_ols_constant_target():
-    model = fit_ols([[1.0], [2.0], [3.0]], [5.0, 5.0, 5.0])
+    model = _fit([[1.0], [2.0], [3.0]], [5.0, 5.0, 5.0])
     assert model.weights[0] == pytest.approx(0.0, abs=1e-9)
     assert model.intercept == pytest.approx(5.0, abs=1e-9)
 
 
 def test_fit_ols_dimension_mismatch():
-    with pytest.raises(ValueError):
-        fit_ols([[1.0], [2.0]], [1.0, 2.0, 3.0])
+    with pytest.raises(ValueError, match="rows"):
+        _fit([[1.0], [2.0]], [1.0, 2.0, 3.0])
+    with pytest.raises(ValueError, match="feature names"):
+        fit_lift_model([[1.0], [2.0]], [1.0, 2.0], ("a", "b"), "y")
+    with pytest.raises(ValueError, match="equal-length"):
+        fit_lift_model([1.0, 2.0], [1.0, 2.0], ("a",), "y")
 
 
 def test_planted_noiseless_model_recovered():
@@ -230,19 +244,25 @@ def test_planted_noiseless_model_recovered():
     true_weights = [0.4, -1.1, 2.5, 0.0, 0.75]
     rows = [[rng.uniform(-2, 2) for _ in range(5)] for _ in range(31)]
     y = [sum(w * x for w, x in zip(true_weights, row)) + 0.3 for row in rows]
-    model = fit_ols(rows, y)
-    for got, want in zip(model.weights, true_weights):
-        assert got == pytest.approx(want, abs=1e-9)
-    assert model.intercept == pytest.approx(0.3, abs=1e-9)
+    model = _fit(rows, y)
+    # A weight on a z-scored column is the raw-scale weight times that column's std.
+    for got, std, want in zip(model.weights, model.feature_stds, true_weights):
+        assert got / std == pytest.approx(want, abs=1e-9)
+    raw_intercept = model.intercept - sum(
+        w / s * m for w, s, m in zip(model.weights, model.feature_stds, model.feature_means)
+    )
+    assert raw_intercept == pytest.approx(0.3, abs=1e-9)
     for row, target in zip(rows, y):
         assert predict(model, row) == pytest.approx(target, abs=1e-9)
 
 
 def test_predict_missing_feature_rejected():
-    model = fit_ols([[1.0], [2.0]], [1.0, 2.0], feature_names=("width",))
-    assert predict(model, {"width": 1.0}) == pytest.approx(1.0, abs=1e-9)
+    model = _fit([[1.0], [2.0]], [1.0, 2.0], ("width",))
+    assert predict(model, [1.0]) == pytest.approx(1.0, abs=1e-9)
     with pytest.raises(ValueError):
-        predict(model, {"height": 1.0})
+        predict(model, [])
+    with pytest.raises(ValueError):
+        predict(model, [1.0, 2.0])
 
 
 def test_rmse_reference():
@@ -383,6 +403,74 @@ def test_loo_rmse_finite_and_larger_than_insample():
     loo = loo_rmse(matrix, y, PROFILE_FEATURES, "max_gpt4_lift")
     assert math.isfinite(loo)
     assert loo >= model.train_rmse
+
+
+def _loo_by_refit(matrix, y, feature_names, target):
+    """Reference LOO: refit without each row, predict it, pool the errors."""
+    predictions = []
+    for i in range(len(y)):
+        rest = [j for j in range(len(y)) if j != i]
+        model = fit_lift_model(
+            [matrix[j] for j in rest], [y[j] for j in rest], feature_names, target
+        )
+        kept = [feature_names.index(name) for name in model.feature_names]
+        predictions.append(predict(model, [matrix[i][k] for k in kept]))
+    return rmse(predictions, y)
+
+
+def _fixture_lift_cases():
+    """The 7 targets, each without and with avg_base_score as a feature."""
+    pairs = join_tasks(
+        load_task_profiles(bundled_fixture_path("task_profiles.csv")),
+        load_quality_records(bundled_fixture_path("quality_records.csv")),
+    )
+    matrix = [profile_features(p) for p, _ in pairs]
+    augmented = [row + [q.avg_base_score] for row, (_, q) in zip(matrix, pairs)]
+    cases = []
+    for target in QUALITY_METRICS:
+        y = [getattr(q, target) for _, q in pairs]
+        cases.append((matrix, y, PROFILE_FEATURES, target))
+        cases.append((augmented, y, PROFILE_FEATURES + ("avg_base_score",), target))
+    return cases
+
+
+def test_loo_rmse_matches_refit_oracle_on_fixture():
+    for matrix, y, names, target in _fixture_lift_cases():
+        want = _loo_by_refit(matrix, y, names, target)
+        got = loo_rmse(matrix, y, names, target)
+        if "avg_base_score" in names and target == "avg_base_score":
+            # The target is one of the features: both are rounding noise around 0.
+            assert got == pytest.approx(0.0, abs=1e-9) and want == pytest.approx(0.0, abs=1e-9)
+        else:
+            assert got == pytest.approx(want, rel=1e-8), (target, len(names))
+
+
+def test_loo_rmse_matches_refit_oracle_on_random_full_rank_designs():
+    rng = random.Random(2024)
+    for _ in range(40):
+        n_features = rng.randint(1, 6)
+        n_rows = rng.randint(n_features + 3, 30)
+        scales = [rng.uniform(0.1, 10) for _ in range(n_features)]
+        matrix = [[rng.gauss(0, scale) for scale in scales] for _ in range(n_rows)]
+        y = [rng.gauss(0, 1) for _ in range(n_rows)]
+        names = tuple(f"x{i}" for i in range(n_features))
+        want = _loo_by_refit(matrix, y, names, "y")
+        assert loo_rmse(matrix, y, names, "y") == pytest.approx(want, rel=1e-8)
+
+
+@pytest.mark.parametrize(
+    "matrix",
+    [
+        # No more rows than design columns (2 features + intercept).
+        [[1.0, 0.0], [0.0, 1.0], [2.0, 5.0]],
+        # The second column varies in the last row only.
+        [[1.0, 0.0], [2.0, 0.0], [4.0, 0.0], [3.0, 0.0], [5.0, 7.0]],
+    ],
+)
+def test_loo_rmse_rejects_leverage_one(matrix):
+    y = [float(i % 3) for i in range(len(matrix))]
+    with pytest.raises(ValueError, match="leverage 1"):
+        loo_rmse(matrix, y, ("a", "b"), "y")
 
 
 def test_quality_record_fields_match_metric_tuple():
