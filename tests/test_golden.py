@@ -6,6 +6,12 @@ case runs ``adapterd simulate <scenario> [--seed k] --output f.json --records``
 and compares the SHA-256 of the written file.  A ``None`` seed runs the
 scenario's own seed.  ``table8`` runs at its own seed only, since one run of
 it costs several seconds.
+
+The bundled scenarios never hold more adapters than ``gpu_slots``, so they
+never evict.  ``EVICTION_GOLDEN`` pins ``run()`` on oversubscribed
+configurations instead, so the order in which the adapter cache demotes and
+promotes is fixed as well: the SHA-256 covers the report's summary,
+per-adapter counts, final tier occupancy and every record.
 """
 
 from __future__ import annotations
@@ -15,6 +21,8 @@ import hashlib
 import pytest
 
 from adapterd.cli import main
+from adapterd.core import EngineConfig, WorkloadConfig
+from adapterd.engine import run
 
 GOLDEN = {
     ("fairness", None): "368443787446d4a460de5b5a95e948cb9209b8b8f2a37f9263ae6226de1117f3",
@@ -38,3 +46,44 @@ def test_simulate_records_hash_is_pinned(scenario, seed, tmp_path, capsys):
     assert main(argv) == 0
     capsys.readouterr()
     assert hashlib.sha256(output.read_bytes()).hexdigest() == GOLDEN[(scenario, seed)]
+
+
+_NO_HOP_LATENCY = {"t_download_ms": 0.0, "t_disk_to_cpu_ms": 0.0, "t_cpu_to_gpu_ms": 0.0}
+
+EVICTION_CASES = {
+    "200-adapters": (
+        EngineConfig(),
+        WorkloadConfig(n_adapters=200, users=100, duration_ms=5000.0, seed=1),
+    ),
+    "no-cpu-tier": (
+        EngineConfig(gpu_slots=8, cpu_slots=0),
+        WorkloadConfig(n_adapters=60, users=40, duration_ms=20000.0, seed=2),
+    ),
+    "zero-latency-hops": (
+        EngineConfig(gpu_slots=3, cpu_slots=5, **_NO_HOP_LATENCY),
+        WorkloadConfig(n_adapters=20, users=12, duration_ms=20000.0, seed=3),
+    ),
+    "per-user": (
+        EngineConfig(gpu_slots=4, cpu_slots=6),
+        WorkloadConfig(
+            n_adapters=16, users=16, duration_ms=20000.0, seed=4, adapter_assignment="per_user"
+        ),
+    ),
+}
+
+EVICTION_GOLDEN = {
+    "200-adapters": "819e96947aca64c6b41562dbb030564d82dcd6571451e0a9de4f416b0e30d2fa",
+    "no-cpu-tier": "ccc238f1e24f02512b955d8fc83c38436285988562b7eb88090e173c35e607e4",
+    "zero-latency-hops": "c2dfbeb11d240e545281d9f28cb8a9cdc1bd9d3076f698669a438acaa3c1eeea",
+    "per-user": "399de1f456c2ad93d29c54a2df6f5f7933d8c7160cdba0dc077b99bf45ebcf89",
+}
+
+
+@pytest.mark.parametrize("case", sorted(EVICTION_GOLDEN))
+def test_oversubscribed_run_hash_is_pinned(case):
+    engine_config, workload_config = EVICTION_CASES[case]
+    report = run(engine_config, workload_config)
+    assert sum(report.cache.values()) == workload_config.n_adapters
+    assert report.cache["gpu"] == engine_config.gpu_slots
+    text = report.to_json_str(include_records=True)
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == EVICTION_GOLDEN[case]
