@@ -324,7 +324,7 @@ def run(
         adapters,
         prewarm=prewarm_adapters,
         deadline=deadline,
-        on_finish=lambda record: _next(rid_to_user.pop(record.request_id), core.clock),
+        on_finish=lambda record: _next(rid_to_user.pop(record.request_id), record.last_token_ms),
     )
 
     def _next(user_index: int, now: float) -> None:
@@ -347,6 +347,9 @@ def run(
         _next(user_index, 0.0)
 
     core.run_until_idle()
+    # The callback closes over `_next`, which closes over `core`: drop it so the
+    # finished engine is freed by reference counting, not by a later cycle scan.
+    core._on_finish = None
     discarded = core.scheduler.drain_queued()
 
     return RunReport(

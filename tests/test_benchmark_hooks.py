@@ -4,7 +4,8 @@
 (``engine.user_tick``, ``gateway.sample_payload``, ``cli.run`` and so on).
 A rename in the program that breaks ``benchmarks/run.py --trace 1`` fails
 here first.  So does a lift fit or leave-one-out RMSE that the
-``profile-lift`` workload's oracle would reject.
+``profile-lift`` workload's oracle would reject, and a simulate report or
+cold fetch that the ``adapter-churn`` workload's oracles would reject.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from pathlib import Path
 
 import adapterd.cli as cli
 import adapterd.engine as engine
+from adapterd.core import EngineConfig, WorkloadConfig
 from adapterd.profiler import (
     PROFILE_FEATURES,
     QUALITY_METRICS,
@@ -89,4 +91,20 @@ def test_lift_fits_pass_the_benchmark_oracle(monkeypatch):
             train = fit_lift_model(rows, y, names, target).train_rmse
             loo = loo_rmse(rows, y, names, target)
             failures += oracles.check_lift(train, loo, rows, y, label)
+    assert failures == []
+
+
+def test_oversubscribed_run_passes_the_churn_oracles(monkeypatch):
+    monkeypatch.syspath_prepend(str(BENCHMARKS))
+    import oracles
+
+    engine_config = EngineConfig(gpu_slots=4, cpu_slots=4)
+    workload_config = WorkloadConfig(n_adapters=40, users=20, duration_ms=10_000.0, seed=3)
+    report = engine.run(engine_config, workload_config)
+    # More adapters were served than GPU and CPU hold together, so some were evicted.
+    assert len(report.per_adapter) > engine_config.gpu_slots + engine_config.cpu_slots
+    assert report.cache["disk"] > 0
+    engine_dict = engine_config.to_dict()
+    failures = oracles.check_virtual_report(report, engine_dict, workload_config.n_adapters)
+    failures += oracles.check_cold_fetch(report.records, engine_dict)
     assert failures == []

@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from adapterd.cache import AdapterCache, ClockRegressionError, UnknownAdapterError
@@ -70,6 +72,16 @@ def test_on_clock_time_regression_rejected():
     cache.on_clock(10.0)
     with pytest.raises(ClockRegressionError):
         cache.on_clock(9.0)
+
+
+def test_touch_time_regression_rejected():
+    # The LRU heaps are exact only while recency never moves backwards.
+    cache = _cache(prewarm=True)
+    cache.touch(adapter_name(0), 10.0)
+    cache.touch(adapter_name(1), 10.0)
+    with pytest.raises(ClockRegressionError):
+        cache.touch(adapter_name(2), 9.0)
+    assert cache.snapshot()[adapter_name(2)].last_used == -1.0
 
 
 def test_lru_eviction_touch_order_a_b_a_c():
@@ -237,18 +249,21 @@ class BruteForceCache:
         }
 
 
-def _run_trace(ops, gpu_slots, cpu_slots, n_adapters):
-    config = EngineConfig(gpu_slots=gpu_slots, cpu_slots=cpu_slots)
+def _run_trace(ops, gpu_slots, cpu_slots, n_adapters, *, prewarm=False, hops=None):
+    config = EngineConfig(gpu_slots=gpu_slots, cpu_slots=cpu_slots, **(hops or {}))
     names = [adapter_name(i) for i in range(n_adapters)]
-    cache = AdapterCache(config, names, prewarm=False)
-    oracle = BruteForceCache(config, names, prewarm=False)
+    cache = AdapterCache(config, names, prewarm=prewarm)
+    oracle = BruteForceCache(config, names, prewarm=prewarm)
     now = 0.0
     for kind, value in ops:
-        if kind == "touch":
-            adapter = names[value % n_adapters]
-            got = cache.touch(adapter, now)
-            want = oracle.touch(adapter, now)
-            assert (got.ready_at if not got.resident else None) == want
+        if kind in ("touch", "burst"):
+            # A burst touches several adapters at one instant, so recency ties
+            # between them fall to the name.
+            for k in range(1 if kind == "touch" else 2 + value % 4):
+                adapter = names[(value + 7 * k) % n_adapters]
+                got = cache.touch(adapter, now)
+                want = oracle.touch(adapter, now)
+                assert (got.ready_at if not got.resident else None) == want
         else:
             now += float(value)
             cache.on_clock(now)
@@ -297,3 +312,91 @@ def test_cache_capacity_invariants(ops, gpu_slots, cpu_slots):
         assert stats["gpu"] <= gpu_slots
         assert stats["cpu"] <= cpu_slots
         assert sum(stats.values()) == 10
+
+
+# Touches favour a hot set of 8 adapters and a trace repeats one pattern, so
+# adapters cycle out of the CPU tier and back as under a steady workload; clock
+# advances are mostly zero or small, so loads land together, and at the
+# instant they are touched when hops cost nothing.
+_OVERSUBSCRIBED_OPS = st.one_of(
+    st.tuples(st.sampled_from(["touch", "burst"]), st.integers(0, 7) | st.integers(0, 49)),
+    st.tuples(st.just("clock"), st.just(0) | st.integers(0, 50) | st.integers(0, 5000)),
+)
+
+
+@given(
+    st.lists(_OVERSUBSCRIBED_OPS, min_size=1, max_size=40),
+    st.integers(1, 12),
+    st.integers(2, 4),
+    st.integers(0, 4),
+    st.booleans(),
+    st.booleans(),
+)
+@example(  # a steady cycle through GPU and CPU: the CPU heap fills and is rebuilt
+    pattern=[op for i in range(8) for op in (("touch", i), ("clock", 5000))],
+    repeats=12,
+    gpu_slots=4,
+    cpu_slots=4,
+    prewarm=True,
+    zero_hops=False,
+)
+@settings(max_examples=100, deadline=None)
+def test_cache_matches_brute_force_replay_oversubscribed(
+    pattern, repeats, gpu_slots, cpu_slots, prewarm, zero_hops
+):
+    # 50 adapters through 2-4 GPU slots: LRU heaps collect entries of adapters
+    # that left their tier and get rebuilt, while the replay must not change.
+    hops = dict.fromkeys(("t_download_ms", "t_disk_to_cpu_ms", "t_cpu_to_gpu_ms"), 0.0)
+    _run_trace(
+        pattern * repeats,
+        gpu_slots,
+        cpu_slots,
+        n_adapters=50,
+        prewarm=prewarm,
+        hops=hops if zero_hops else None,
+    )
+
+
+def _gpu_hits(cache, now, count):
+    hot = sorted(a for a, entry in cache.snapshot().items() if entry.tier == "gpu")
+    for i in range(count):
+        now += 1.0
+        assert cache.touch(hot[i % len(hot)], now).resident
+    return now
+
+
+def _promotion_churn(cache, names, now, count):
+    # Round-robin over as many adapters as GPU and CPU hold together: every
+    # touch promotes an adapter out of the CPU tier and every landing demotes
+    # the GPU's least recently used one into it, so the CPU tier never spills
+    # and nothing evicts from it.
+    for i in range(count):
+        now += 1.0
+        outcome = cache.touch(names[i % len(names)], now)
+        if not outcome.resident:
+            now = outcome.ready_at
+            cache.on_clock(now)
+    return now
+
+
+def test_cache_memory_stays_bounded_over_a_long_run():
+    # A live server keeps one cache for its whole life.
+    config = EngineConfig(gpu_slots=4, cpu_slots=4)
+    names = [adapter_name(i) for i in range(50)]
+    cache = AdapterCache(config, names, prewarm=True)
+    churned = names[: config.gpu_slots + config.cpu_slots]
+    tracemalloc.start()
+    try:
+        now = _gpu_hits(cache, 0.0, 1_000)
+        now = _promotion_churn(cache, churned, now, 1_000)
+        now = _gpu_hits(cache, now, 1_000)
+        before = tracemalloc.get_traced_memory()[0]
+        now = _gpu_hits(cache, now, 100_000)
+        now = _promotion_churn(cache, churned, now, 20_000)
+        now = _gpu_hits(cache, now, 1_000)
+        grown = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert grown < 64 * 1024, f"cache grew by {grown} bytes"
+    stats = cache.residency_stats()
+    assert (stats["gpu"], stats["cpu"], stats["remote"]) == (4, 4, 42)

@@ -16,8 +16,12 @@ ms, adapter switch 0.1 ms, remote adapter fetch 2000 + 200 + 5 ms):
 
 from __future__ import annotations
 
+import gc
+import weakref
+
 import pytest
 
+import adapterd.engine as engine
 from adapterd.core import EngineConfig, Request, WorkloadConfig
 from adapterd.engine import (
     EngineCore,
@@ -244,3 +248,26 @@ def test_report_config_echo_round_trips():
     report = run(EngineConfig(), workload)
     assert report.config["engine"] == EngineConfig().to_dict()
     assert report.config["workload"] == workload.to_dict()
+
+
+def test_run_frees_its_engine_without_the_cycle_collector(monkeypatch):
+    # A reference cycle through the finish callback would keep every finished
+    # run's engine, records and cache alive until a full collection.
+    cores = []
+
+    class RecordedCore(EngineCore):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            cores.append(weakref.ref(self))
+
+    monkeypatch.setattr(engine, "EngineCore", RecordedCore)
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        report = run(EngineConfig(), _workload(n_adapters=3, users=2, duration_ms=3000.0))
+    finally:
+        if was_enabled:
+            gc.enable()
+    assert report.summary["completed"] > 0
+    assert len(cores) == 1
+    assert cores[0]() is None
