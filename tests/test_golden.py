@@ -1,4 +1,4 @@
-"""Golden hashes: `simulate --records` output is pinned byte for byte across versions.
+"""Golden hashes: `simulate --records` and `profile` output are pinned byte for byte.
 
 C6 checks that two runs of one build agree; these hashes check that a change
 to the code leaves every bundled scenario's report exactly as it was.  Each
@@ -12,11 +12,18 @@ never evict.  ``EVICTION_GOLDEN`` pins ``run()`` on oversubscribed
 configurations instead, so the order in which the adapter cache demotes and
 promotes is fixed as well: the SHA-256 covers the report's summary,
 per-adapter counts, final tier occupancy and every record.
+
+``PROFILE_GOLDEN`` pins ``adapterd profile <file> --output f.json`` on a
+seeded dataset whose pairs are long enough to span several 64-bit words,
+so a change to how ``rouge_l`` computes its LCS must leave every profile
+float exactly as it was.
 """
 
 from __future__ import annotations
 
 import hashlib
+import json
+import random
 
 import pytest
 
@@ -87,3 +94,41 @@ def test_oversubscribed_run_hash_is_pinned(case):
     assert report.cache["gpu"] == engine_config.gpu_slots
     text = report.to_json_str(include_records=True)
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == EVICTION_GOLDEN[case]
+
+
+PROFILE_GOLDEN = "9854530fcf1c02265caabc457e1e4fd38ee460a9398f6ad124f291e868227de1"
+
+_PROFILE_VOCAB = ["the", "The", "THE", "cat", "Cat", "sat", "on", "mat", "Mat", "a",
+                  "dog", "ran", "far", "away", "Away", "naïve", "café", "x", "y", "z"]
+
+
+def _profile_dataset(path):
+    """30 seeded input/output pairs: short and >128-word sides, mixed case,
+    repeated words, copied runs, one empty output and irregular whitespace."""
+    rng = random.Random(20261018)
+    lengths = [(2, 5), (3, 0), (1, 1), (63, 64), (64, 65), (65, 63), (127, 128),
+               (128, 129), (129, 127), (200, 150), (140, 300), (600, 40)]
+    lengths += [(rng.randint(1, 40), rng.randint(1, 40)) for _ in range(18)]
+    lines = []
+    for i, (n_in, n_out) in enumerate(lengths):
+        vocab = _PROFILE_VOCAB[: 2 + i % 19]
+        words = [rng.choice(vocab) for _ in range(max(n_in, 1))]
+        if i % 3 == 0:
+            out = [rng.choice(words) if rng.random() < 0.5 else rng.choice(vocab)
+                   for _ in range(n_out)]
+        else:
+            start = rng.randrange(len(words))
+            out = words[start:start + n_out] + [rng.choice(vocab) for _ in range(n_out)]
+            out = out[:n_out]
+        text_in = (" " if i % 2 else "  \t").join(words)
+        lines.append(json.dumps({"input": text_in, "output": " ".join(out)}))
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+def test_profile_output_hash_is_pinned(tmp_path, capsys):
+    dataset = tmp_path / "golden.jsonl"
+    _profile_dataset(dataset)
+    output = tmp_path / "profile.json"
+    assert main(["profile", str(dataset), "--output", str(output)]) == 0
+    capsys.readouterr()
+    assert hashlib.sha256(output.read_bytes()).hexdigest() == PROFILE_GOLDEN
