@@ -76,18 +76,28 @@ def rouge_l(candidate: str, reference: str) -> float:
 
 
 def _lcs_length(a: Sequence[str], b: Sequence[str]) -> int:
-    if len(b) > len(a):
+    """Longest-common-subsequence length by the bit-parallel recurrence.
+
+    Allison and Dix (1986), in the form Hyyrö (2004) gives: bit i of
+    ``masks[token]`` is set where the shorter sequence holds ``token`` at i,
+    and ``row`` packs one row of the LCS table as differences.  Bit i is
+    clear where the row steps up by one at position i, so the LCS is the
+    number of clear bits.  Each token of the longer sequence costs a few
+    word operations on ints of ``len(shorter)`` bits, in place of one
+    interpreted step per table cell.
+    """
+    if len(b) < len(a):
         a, b = b, a
-    previous = [0] * (len(b) + 1)
-    for token_a in a:
-        current = [0]
-        for j, token_b in enumerate(b):
-            if token_a == token_b:
-                current.append(previous[j] + 1)
-            else:
-                current.append(max(previous[j + 1], current[j]))
-        previous = current
-    return previous[-1]
+    masks: dict[str, int] = {}
+    for i, token in enumerate(a):
+        masks[token] = masks.get(token, 0) | (1 << i)
+    full = (1 << len(a)) - 1
+    row = full
+    for match in map(masks.get, b):
+        if match:
+            low = row & match
+            row = ((row + low) | (row - low)) & full
+    return len(a) - row.bit_count()
 
 
 def compressibility(text: str) -> float:

@@ -3,18 +3,23 @@
 ``benchmarks/layers.py`` patches functions where their callers look them up
 (``engine.user_tick``, ``gateway.sample_payload``, ``cli.run`` and so on).
 A rename in the program that breaks ``benchmarks/run.py --trace 1`` fails
-here first.  So does a lift fit or leave-one-out RMSE that the
-``profile-lift`` workload's oracle would reject, and a simulate report or
-cold fetch that the ``adapter-churn`` workload's oracles would reject.
+here first, and so does a ``compute_profile`` that stops calling the wrapped
+``rouge_l``, which would zero the profiler's per-layer metrics.  So does a
+profile, lift fit or leave-one-out RMSE that the ``profile-lift`` workload's
+oracles would reject, and a simulate report or cold fetch that the
+``adapter-churn`` workload's oracles would reject.
 """
 
 from __future__ import annotations
 
+import csv
 import json
+import random
 from pathlib import Path
 
 import adapterd.cli as cli
 import adapterd.engine as engine
+import adapterd.profiler as profiler
 from adapterd.core import EngineConfig, WorkloadConfig
 from adapterd.profiler import (
     PROFILE_FEATURES,
@@ -69,6 +74,52 @@ def test_layers_install_wraps_and_unwraps(monkeypatch, tmp_path, capsys):
     # run() asks each user once at t=0 and once after each of its completions.
     assert totals["workload.user_tick"]["calls"] == 3 + completed
     assert totals["engine.run"]["calls"] == 1
+
+
+def _synthetic_tasks() -> list[tuple[str, list[tuple[str, str]]]]:
+    """Three of the benchmark's synthetic datasets: short, long-input and long on both sides."""
+    import workloads
+
+    with open(bundled_fixture_path("task_profiles.csv"), newline="", encoding="utf-8") as handle:
+        rows = {row["name"]: row for row in csv.DictReader(handle)}
+    return [
+        (name, workloads.synthetic_task(random.Random(seed), rows[name], workloads.EXAMPLES_PER_TASK))
+        for seed, name in enumerate(("glue_sst2", "wikisql", "magicoder"))
+    ]
+
+
+def test_profiles_pass_the_benchmark_oracle(monkeypatch):
+    monkeypatch.syspath_prepend(str(BENCHMARKS))
+    import oracles
+
+    failures = []
+    for name, examples in _synthetic_tasks():
+        profile = profiler.compute_profile(examples, name)
+        failures += oracles.check_profile(profile, examples, profiler.rouge_l)
+    assert failures == []
+
+
+def test_layers_trace_one_rouge_span_per_profiled_example(monkeypatch):
+    monkeypatch.syspath_prepend(str(BENCHMARKS))
+    import layers
+    from tracer import Tracer
+
+    name, examples = _synthetic_tasks()[2]
+    originals = (profiler.compute_profile, profiler.rouge_l, profiler.compressibility)
+    tracer = Tracer()
+    try:
+        layers.install(tracer)
+        profiler.compute_profile(examples, name)
+    finally:
+        tracer.unwrap()
+    assert (profiler.compute_profile, profiler.rouge_l, profiler.compressibility) == originals
+
+    totals = tracer.totals(tracer.spans())
+    assert totals["profiler.compute_profile"]["calls"] == 1
+    assert totals["profiler.rouge_l"]["calls"] == len(examples)
+    assert totals["profiler.compressibility"]["calls"] == len(examples)
+    cells = sum(len(inp.split()) * len(out.split()) for inp, out in examples)
+    assert tracer.counters["profiler.lcs_cells"] == cells > 0
 
 
 def test_lift_fits_pass_the_benchmark_oracle(monkeypatch):

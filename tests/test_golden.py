@@ -112,7 +112,7 @@ def _profile_dataset(path):
     lines = []
     for i, (n_in, n_out) in enumerate(lengths):
         vocab = _PROFILE_VOCAB[: 2 + i % 19]
-        words = [rng.choice(vocab) for _ in range(max(n_in, 1))]
+        words = [rng.choice(vocab) for _ in range(n_in)]
         if i % 3 == 0:
             out = [rng.choice(words) if rng.random() < 0.5 else rng.choice(vocab)
                    for _ in range(n_out)]

@@ -7,7 +7,6 @@ computation before being pinned here.
 
 from __future__ import annotations
 
-import functools
 import math
 import random
 
@@ -68,34 +67,69 @@ def test_rouge_f1_symmetric():
         assert rouge_l(cand, ref) == pytest.approx(rouge_l(ref, cand), abs=1e-12)
 
 
-def _lcs_oracle(a: tuple, b: tuple) -> int:
-    """Independent recursive LCS used only to cross-check the implementation."""
+def dp_lcs(a: list[str], b: list[str]) -> int:
+    """O(len(a) * len(b)) dynamic-programming LCS, the reference for the bit-parallel one."""
+    previous = [0] * (len(b) + 1)
+    for token_a in a:
+        current = [0]
+        for j, token_b in enumerate(b):
+            if token_a == token_b:
+                current.append(previous[j] + 1)
+            else:
+                current.append(max(previous[j + 1], current[j]))
+        previous = current
+    return previous[-1]
 
-    @functools.lru_cache(maxsize=None)
-    def go(i: int, j: int) -> int:
-        if i == len(a) or j == len(b):
-            return 0
-        if a[i] == b[j]:
-            return 1 + go(i + 1, j + 1)
-        return max(go(i + 1, j), go(i, j + 1))
 
-    return go(0, 0)
+def dp_f1(candidate: str, reference: str) -> float:
+    """ROUGE-L F1 written out from the DP: the exact value rouge_l must return."""
+    cand = candidate.lower().split()
+    ref = reference.lower().split()
+    length = dp_lcs(cand, ref)
+    if length == 0:
+        return 0.0
+    precision = length / len(cand)
+    recall = length / len(ref)
+    return 2 * precision * recall / (precision + recall)
 
 
 def test_rouge_matches_lcs_oracle_on_random_pairs():
     rng = random.Random(20260814)
     vocab = ["red", "blue", "green", "cyan", "plum", "gold", "teal", "rust"]
     for _ in range(1000):
-        a = tuple(rng.choice(vocab) for _ in range(rng.randint(0, 12)))
-        b = tuple(rng.choice(vocab) for _ in range(rng.randint(0, 12)))
-        length = _lcs_oracle(a, b)
-        if not a or not b or length == 0:
-            expected = 0.0
-        else:
-            precision = length / len(a)
-            recall = length / len(b)
-            expected = 2 * precision * recall / (precision + recall)
-        assert rouge_l(" ".join(a), " ".join(b)) == pytest.approx(expected, abs=1e-12)
+        a = " ".join(rng.choice(vocab) for _ in range(rng.randint(0, 12)))
+        b = " ".join(rng.choice(vocab) for _ in range(rng.randint(0, 12)))
+        assert rouge_l(a, b) == dp_f1(a, b)
+
+
+_MIXED_VOCAB = ["the", "cat", "sat", "on", "mat", "a", "dog", "ran", "far", "away",
+                "red", "blue", "green", "cyan", "plum", "gold", "teal", "rust", "x", "y"]
+
+# Lengths on and beside the 64- and 128-bit word edges of the row bitmask.
+_WORD_EDGES = (0, 1, 2, 63, 64, 65, 127, 128, 129)
+
+
+def _mixed_case_text(rng: random.Random, vocab: list[str], n: int) -> str:
+    words = (rng.choice(vocab) for _ in range(n))
+    return " ".join(rng.choice((w, w, w, w.upper(), w.title())) for w in words)
+
+
+def test_rouge_equals_dp_on_lengths_up_to_600_and_word_edges():
+    rng = random.Random(600)
+    lengths = [(a, b) for a in _WORD_EDGES for b in _WORD_EDGES]
+    lengths += [(rng.randint(0, 600), rng.randint(0, 600)) for _ in range(24)]
+    lengths += [(rng.randint(0, 80), rng.randint(0, 80)) for _ in range(96)]
+    for i, (n_cand, n_ref) in enumerate(lengths):
+        vocab = _MIXED_VOCAB[: rng.randint(2, 20)]
+        cand = _mixed_case_text(rng, vocab, n_cand)
+        ref = _mixed_case_text(rng, vocab, n_ref)
+        if i % 3 == 0 and n_cand:
+            # Start the reference with a run copied from the candidate, so the LCS is long.
+            start = rng.randrange(n_cand)
+            ref = " ".join((cand.split()[start:start + n_ref] + ref.split())[:n_ref])
+        assert rouge_l(cand, ref) == dp_f1(cand, ref), (n_cand, n_ref, len(vocab))
+        assert rouge_l(ref, cand) == dp_f1(ref, cand), (n_ref, n_cand, len(vocab))
+        assert rouge_l(cand, "") == rouge_l("", cand) == 0.0
 
 
 # ---------------------------------------------------------------------------
