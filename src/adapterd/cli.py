@@ -3,6 +3,9 @@
 Exit codes: 0 on success, 1 when a run produced no usable result (for
 example a benchmark where every request failed), and 2 for usage, parse,
 or configuration errors.
+
+`serve` and `bench` import the gateway when they run, so the other
+commands start without loading the HTTP stack.
 """
 
 from __future__ import annotations
@@ -24,7 +27,6 @@ from .core import (
     scenario_from_dict,
 )
 from .engine import run
-from .gateway import ReplicaSet, bench, serve
 from .metrics import RunReport, merge, write_records_csv
 from .profiler import (
     PROFILE_FEATURES,
@@ -145,12 +147,16 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def cmd_serve(args: argparse.Namespace) -> int:
+    from .gateway import serve
+
     adapters = [adapter_name(i) for i in range(args.adapters)]
     serve(EngineConfig(), port=args.port, adapters=adapters, prewarm=args.prewarm)
     return 0
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
+    from .gateway import ReplicaSet, bench
+
     workload = WorkloadConfig(
         n_adapters=args.adapters,
         users=args.users,

@@ -44,7 +44,7 @@ from dataclasses import dataclass, replace
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Sequence
 
-from .core import BASE_ADAPTER, EngineConfig, Request, WorkloadConfig
+from .core import BASE_ADAPTER, EngineConfig, Request, WorkloadConfig, validate_config
 from .engine import EngineCore
 from .metrics import RequestRecord, RunReport, merge, summarize
 from .workload import User, sample_payload
@@ -379,15 +379,19 @@ class LiveServer:
 
 
 def _resolve_port(port: int | None) -> int:
-    if port is not None:
-        return port
-    raw = os.environ.get(_PORT_ENV_VAR)
-    if raw is not None:
+    source = "--port"
+    if port is None:
+        raw = os.environ.get(_PORT_ENV_VAR)
+        if raw is None:
+            return _DEFAULT_PORT
+        source = _PORT_ENV_VAR
         try:
-            return int(raw)
+            port = int(raw)
         except ValueError:
             raise ValueError(f"{_PORT_ENV_VAR} must be an integer, got {raw!r}") from None
-    return _DEFAULT_PORT
+    if not 0 <= port <= 65535:
+        raise ValueError(f"{source} must be in 0-65535, got {port}")
+    return port
 
 
 def start_server(
@@ -401,9 +405,10 @@ def start_server(
     When ``port`` is None the ``ADAPTERD_PORT`` environment variable is
     consulted before falling back to 8000.
     """
+    address = ("127.0.0.1", _resolve_port(port))
     engine = LiveEngine(engine_config, adapters, prewarm=prewarm)
     try:
-        httpd = _GatewayServer(("127.0.0.1", _resolve_port(port)), engine)
+        httpd = _GatewayServer(address, engine)
     except BaseException:
         engine.stop()
         raise
@@ -504,6 +509,8 @@ def bench(replicas: ReplicaSet, workload: WorkloadConfig) -> RunReport:
     """
     if not replicas.endpoints:
         raise ValueError("bench needs at least one replica endpoint")
+    # The replicas check their own engines; a default one lets the workload rules run.
+    validate_config(EngineConfig(), workload)
     origin = time.monotonic()
     picker_lock = threading.Lock()
     cursor = [replicas]

@@ -20,11 +20,13 @@ import math
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
-from typing import Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Sequence
 
 from .metrics import percentile
+
+# numpy is imported inside the lift fits only, so profiling never pays for it.
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "CorrelationReport",
@@ -311,6 +313,8 @@ def _zscored_design(
 
     Also returns the target vector and the kept columns' indices, means and stds.
     """
+    import numpy as np
+
     if len(matrix) != len(y):
         raise ValueError(f"matrix has {len(matrix)} rows but y has {len(y)}")
     if len(y) < 2:
@@ -338,6 +342,8 @@ def fit_lift_model(
 
     Rank-deficient systems get the minimum-norm solution.
     """
+    import numpy as np
+
     design, target_values, kept, means, stds = _zscored_design(matrix, y, feature_names)
     solution, *_ = np.linalg.lstsq(design, target_values, rcond=None)
     return LiftModel(
@@ -379,6 +385,8 @@ def loo_rmse(
     held-out prediction exists: when there are no more rows than design
     columns, or a feature varies in that row only.
     """
+    import numpy as np
+
     design, target_values, *_ = _zscored_design(matrix, y, feature_names)
     if len(y) < 3:
         raise ValueError("leave-one-out requires at least 3 rows")

@@ -4,12 +4,14 @@ from __future__ import annotations
 
 import json
 import re
+import threading
 from pathlib import Path
 
 import pytest
 
+import adapterd.gateway as gateway
 from adapterd.cli import _resolve_scenario, main
-from adapterd.core import EngineConfig
+from adapterd.core import EngineConfig, adapter_name
 from adapterd.gateway import start_server
 from adapterd.metrics import records_csv_header
 from adapterd.profiler import bundled_fixture_path
@@ -295,3 +297,56 @@ def test_bench_cli_dead_endpoint_exit_1(capsys):
     ])
     assert code == 1
     assert "no request completed" in capsys.readouterr().err
+
+
+def test_serve_passes_its_flags_to_the_gateway(monkeypatch):
+    def unpatched(*_args, **_kwargs):
+        raise AssertionError("the CLI ran its own binding of serve, not gateway.serve")
+
+    calls = []
+    monkeypatch.setattr(gateway, "serve", lambda *args, **kwargs: calls.append((args, kwargs)))
+    # A CLI that bound serve at import would otherwise block on a real server.
+    monkeypatch.setattr(gateway, "start_server", unpatched)
+    assert main(["serve", "--port", "0", "--adapters", "3", "--prewarm"]) == 0
+    adapters = [adapter_name(i) for i in range(3)]
+    assert calls == [((EngineConfig(),), {"port": 0, "adapters": adapters, "prewarm": True})]
+
+
+def _engine_threads():
+    return sum(thread.name == "adapterd-engine" for thread in threading.enumerate())
+
+
+@pytest.mark.parametrize(
+    ("flags", "env", "message"),
+    [
+        (["--port", "70000"], None, "--port must be in 0-65535, got 70000"),
+        ([], "-5", "ADAPTERD_PORT must be in 0-65535, got -5"),
+    ],
+)
+def test_serve_out_of_range_port_exits_2(monkeypatch, capfd, flags, env, message):
+    if env is None:
+        monkeypatch.delenv("ADAPTERD_PORT", raising=False)
+    else:
+        monkeypatch.setenv("ADAPTERD_PORT", env)
+    before = _engine_threads()
+    assert main(["serve", *flags]) == 2
+    assert capfd.readouterr().err.splitlines() == [f"error: {message}"]
+    assert _engine_threads() == before
+
+
+@pytest.mark.parametrize(
+    ("flags", "message"),
+    [
+        (
+            ["--input-tokens-min", "500", "--input-tokens-max", "30"],
+            "input_tokens_min: min <= max required (got 500 > 30)",
+        ),
+        (["--users", "0"], "users: must be >= 1 (got 0)"),
+        (["--duration-s", "-1"], "duration_ms: must be finite and >= 0 (got -1000.0)"),
+    ],
+)
+def test_bench_invalid_workload_exits_2_before_any_request(capfd, flags, message):
+    assert main(["bench", "--url", "http://127.0.0.1:1", "--duration-s", "0.2", *flags]) == 2
+    captured = capfd.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [f"error: {message}"]
