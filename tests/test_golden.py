@@ -5,7 +5,8 @@ to the code leaves every bundled scenario's report exactly as it was.  Each
 case runs ``adapterd simulate <scenario> [--seed k] --output f.json --records``
 and compares the SHA-256 of the written file.  A ``None`` seed runs the
 scenario's own seed.  ``table8`` runs at its own seed only, since one run of
-it costs several seconds.
+it costs several seconds.  ``CSV_GOLDEN`` pins ``--format csv --output f.csv``
+the same way, so ``write_records_csv`` is fixed as well as the JSON report.
 
 The bundled scenarios never hold more adapters than ``gpu_slots``, so they
 never evict.  ``EVICTION_GOLDEN`` pins ``run()`` on oversubscribed
@@ -53,6 +54,23 @@ def test_simulate_records_hash_is_pinned(scenario, seed, tmp_path, capsys):
     assert main(argv) == 0
     capsys.readouterr()
     assert hashlib.sha256(output.read_bytes()).hexdigest() == GOLDEN[(scenario, seed)]
+
+
+CSV_GOLDEN = {
+    ("fairness", None): "342fca1d6f16506efb633d0b75ae5a7a86de33fe754d083b4ec17618158aaa36",
+    ("table10", 1): "7eeef7ada17e25ae282561363def1c429d8f51836280c5051216967e5344e2c4",
+}
+
+
+@pytest.mark.parametrize(("scenario", "seed"), sorted(CSV_GOLDEN, key=str))
+def test_simulate_csv_hash_is_pinned(scenario, seed, tmp_path, capsys):
+    output = tmp_path / "records.csv"
+    argv = ["simulate", scenario, "--format", "csv", "--output", str(output)]
+    if seed is not None:
+        argv += ["--seed", str(seed)]
+    assert main(argv) == 0
+    capsys.readouterr()
+    assert hashlib.sha256(output.read_bytes()).hexdigest() == CSV_GOLDEN[(scenario, seed)]
 
 
 _NO_HOP_LATENCY = {"t_download_ms": 0.0, "t_disk_to_cpu_ms": 0.0, "t_cpu_to_gpu_ms": 0.0}
