@@ -23,6 +23,7 @@ from .core import (
     Scenario,
     WorkloadConfig,
     adapter_name,
+    config_violations,
     load_scenario,
     scenario_from_dict,
 )
@@ -154,6 +155,19 @@ def cmd_serve(args: argparse.Namespace) -> int:
     return 0
 
 
+# The bench flag that sets each WorkloadConfig field, so an error names what was typed.
+_BENCH_FLAGS = {
+    "n_adapters": "--adapters",
+    "users": "--users",
+    "duration_ms": "--duration-s",
+    "input_tokens_min": "--input-tokens-min",
+    "input_tokens_max": "--input-tokens-max",
+    "output_tokens_min": "--output-tokens-min",
+    "output_tokens_max": "--output-tokens-max",
+    "seed": "--seed",
+}
+
+
 def cmd_bench(args: argparse.Namespace) -> int:
     from .gateway import ReplicaSet, bench
 
@@ -167,6 +181,14 @@ def cmd_bench(args: argparse.Namespace) -> int:
         output_tokens_max=args.output_tokens_max,
         seed=args.seed,
     )
+    violations = []
+    for violation in config_violations(EngineConfig(), workload):
+        field, rule = violation.split(": ", 1)
+        if field == "duration_ms":
+            rule = rule.replace(repr(workload.duration_ms), f"{args.duration_s:g}")
+        violations.append(f"{_BENCH_FLAGS[field]}: {rule}")
+    if violations:
+        raise ConfigError(violations)
     report = bench(ReplicaSet(endpoints=tuple(args.url)), workload)
     sys.stdout.write(format_summary_table(report, "bench"))
     if args.output is not None:

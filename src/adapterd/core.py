@@ -1,8 +1,9 @@
 """Shared domain types, configuration validation, and the deterministic RNG.
 
 All simulation time is real-valued milliseconds (``VirtualTime``). Every type
-here is an immutable value; RNG advancement returns a new ``Rng`` instead of
-mutating in place, which is what makes a whole benchmark run a pure function
+here is an immutable value.  An RNG state is a plain int: each draw takes a
+state and returns the value together with the advanced state, and never
+mutates anything, which is what makes a whole benchmark run a pure function
 of its configuration.
 """
 
@@ -12,7 +13,7 @@ import json
 import math
 from dataclasses import dataclass, fields
 from pathlib import Path
-from typing import Any
+from typing import Any, NamedTuple
 
 VirtualTime = float
 
@@ -102,8 +103,7 @@ class WorkloadConfig:
         return out
 
 
-@dataclass(frozen=True)
-class Request:
+class Request(NamedTuple):
     """One generation request; ids are unique per run."""
 
     id: str
@@ -207,11 +207,8 @@ _MIX_A = 0xBF58476D1CE4E5B9
 _MIX_B = 0x94D049BB133111EB
 
 
-@dataclass(frozen=True)
-class Rng:
-    """Immutable RNG state; advancing returns (value, new Rng)."""
-
-    state: int
+# The splitmix64 state is the whole stream, so an RNG state is one int.
+Rng = int
 
 
 def _mix64(z: int) -> int:
@@ -221,8 +218,8 @@ def _mix64(z: int) -> int:
 
 
 def rng_next_u64(rng: Rng) -> tuple[int, Rng]:
-    state = (rng.state + _GOLDEN) & _MASK64
-    return _mix64(state), Rng(state)
+    state = (rng + _GOLDEN) & _MASK64
+    return _mix64(state), state
 
 
 def rng_next_uniform(rng: Rng, lo: int, hi: int) -> tuple[int, Rng]:
@@ -232,14 +229,15 @@ def rng_next_uniform(rng: Rng, lo: int, hi: int) -> tuple[int, Rng]:
     span = hi - lo + 1
     limit = (2**64 // span) * span
     while True:
-        value, rng = rng_next_u64(rng)
+        rng = (rng + _GOLDEN) & _MASK64
+        value = _mix64(rng)
         if value < limit:
             return lo + (value % span), rng
 
 
 def rng_split(rng: Rng, label: int) -> Rng:
     """Child stream for (state, label); pure, and the parent is not consumed."""
-    return Rng(_mix64(rng.state ^ _mix64(((label + 1) * _GOLDEN) & _MASK64)))
+    return _mix64(rng ^ _mix64(((label + 1) * _GOLDEN) & _MASK64))
 
 
 @dataclass(frozen=True)

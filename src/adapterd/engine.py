@@ -266,13 +266,13 @@ class EngineCore:
                 del counts[request.adapter]
         self.scheduler.on_complete(request.id)
         record = RequestRecord(
-            request_id=request.id,
-            adapter=request.adapter,
-            input_tokens=request.input_tokens,
-            output_tokens_emitted=flight.emitted,
-            submit_ms=request.submit_time,
-            first_token_ms=flight.first_ms,
-            last_token_ms=now,
+            request.id,
+            request.adapter,
+            request.input_tokens,
+            flight.emitted,
+            request.submit_time,
+            flight.first_ms,
+            now,
         )
         self.records.append(record)
         if self.scheduler.has_backlog():
@@ -335,11 +335,7 @@ def run(
         request_id = f"{request_id_prefix}{next(id_counter):06d}"
         rid_to_user[request_id] = user_index
         request = Request(
-            id=request_id,
-            adapter=payload.adapter,
-            input_tokens=payload.input_tokens,
-            max_new_tokens=payload.output_tokens,
-            submit_time=now,
+            request_id, payload.adapter, payload.input_tokens, payload.output_tokens, now
         )
         core.schedule_submit(request, now)
 

@@ -13,7 +13,7 @@ import csv
 import json
 import math
 from dataclasses import dataclass
-from typing import IO, Iterable, Sequence
+from typing import IO, Iterable, NamedTuple, Sequence
 
 __all__ = [
     "DerivedMetrics",
@@ -43,8 +43,7 @@ class MergeError(ValueError):
     """Raised when reports cannot be combined into one."""
 
 
-@dataclass(frozen=True)
-class RequestRecord:
+class RequestRecord(NamedTuple):
     """Raw timestamps for one completed request."""
 
     request_id: str
@@ -56,8 +55,7 @@ class RequestRecord:
     last_token_ms: float
 
 
-@dataclass(frozen=True)
-class DerivedMetrics:
+class DerivedMetrics(NamedTuple):
     """Per-request latency and throughput figures derived from timestamps."""
 
     total_ms: float
@@ -80,12 +78,7 @@ def derive(record: RequestRecord) -> DerivedMetrics:
         throughput = (record.output_tokens_emitted - 1) / seconds
     else:
         throughput = None
-    return DerivedMetrics(
-        total_ms=ttft + streaming,
-        ttft_ms=ttft,
-        streaming_ms=streaming,
-        throughput_tok_s=throughput,
-    )
+    return DerivedMetrics(ttft + streaming, ttft, streaming, throughput)
 
 
 def percentile(values: Sequence[float], p: float) -> float:
@@ -114,14 +107,15 @@ def summarize(records: Sequence[RequestRecord], run_duration_ms: float) -> dict:
     """
     if not records:
         return {"request_count": 0}
-    derived = [derive(record) for record in records]
+    # Each DerivedMetrics is a tuple, so one zip yields its fields as columns.
+    totals, ttfts, streams, rates = zip(*[derive(record) for record in records])
     summary: dict = {
         "request_count": len(records),
-        "total_request_ms": _stat_block([m.total_ms for m in derived]),
-        "ttft_ms": _stat_block([m.ttft_ms for m in derived]),
-        "streaming_ms": _stat_block([m.streaming_ms for m in derived]),
+        "total_request_ms": _stat_block(totals),
+        "ttft_ms": _stat_block(ttfts),
+        "streaming_ms": _stat_block(streams),
     }
-    throughputs = [m.throughput_tok_s for m in derived if m.throughput_tok_s is not None]
+    throughputs = [rate for rate in rates if rate is not None]
     if throughputs:
         summary["throughput_tok_s"] = _stat_block(throughputs)
     total_tokens = sum(record.output_tokens_emitted for record in records)

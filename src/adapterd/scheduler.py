@@ -94,7 +94,7 @@ class Scheduler:
         self._in_flight.remove(request_id)
 
     def has_backlog(self) -> bool:
-        return any(self._queues.values())
+        return bool(self._queued_ids)
 
     @property
     def in_flight_count(self) -> int:

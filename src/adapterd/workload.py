@@ -16,7 +16,7 @@ stream untouched.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .core import (
     BASE_ADAPTER,
@@ -35,8 +35,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Payload:
+class Payload(NamedTuple):
     """One sampled request shape."""
 
     adapter: str
@@ -83,7 +82,7 @@ def sample_payload(
     else:
         adapter_index, rng = rng_next_uniform(rng, 0, workload.n_adapters - 1)
         adapter = adapter_name(adapter_index)
-    return Payload(adapter=adapter, input_tokens=input_tokens, output_tokens=output_tokens), rng
+    return Payload(adapter, input_tokens, output_tokens), rng
 
 
 def user_tick(

@@ -4,7 +4,9 @@
 (``engine.user_tick``, ``gateway.sample_payload``, ``cli.run`` and so on).
 A rename in the program that breaks ``benchmarks/run.py --trace 1`` fails
 here first, and so does a ``compute_profile`` that stops calling the wrapped
-``rouge_l``, which would zero the profiler's per-layer metrics.  So does a
+``rouge_l``, which would zero the profiler's per-layer metrics, and a
+``sample_payload`` that draws without calling ``workload.rng_next_uniform``,
+which would zero the workload's RNG metrics.  So does a
 profile, lift fit or leave-one-out RMSE that the ``profile-lift`` workload's
 oracles would reject, and a simulate report or cold fetch that the
 ``adapter-churn`` workload's oracles would reject.
@@ -17,10 +19,12 @@ import json
 import random
 from pathlib import Path
 
+import pytest
+
 import adapterd.cli as cli
 import adapterd.engine as engine
 import adapterd.profiler as profiler
-from adapterd.core import EngineConfig, WorkloadConfig
+from adapterd.core import EngineConfig, TaskTokenProfile, WorkloadConfig
 from adapterd.profiler import (
     PROFILE_FEATURES,
     QUALITY_METRICS,
@@ -74,6 +78,43 @@ def test_layers_install_wraps_and_unwraps(monkeypatch, tmp_path, capsys):
     # run() asks each user once at t=0 and once after each of its completions.
     assert totals["workload.user_tick"]["calls"] == 3 + completed
     assert totals["engine.run"]["calls"] == 1
+
+
+_TASKS = (
+    TaskTokenProfile(name="short", input_min=5, input_p95=10, output_min=1, output_p95=3),
+    TaskTokenProfile(name="long", input_min=40, input_p95=60, output_min=2, output_p95=6),
+)
+
+
+@pytest.mark.parametrize(
+    ("overrides", "draws"),
+    [
+        ({}, 3),  # input length, output length, adapter
+        ({"adapter_assignment": "per_user"}, 2),  # the adapter is pinned, not drawn
+        ({"task_profiles": _TASKS}, 4),  # the task profile first
+    ],
+    ids=["uniform", "per_user", "task_profiles"],
+)
+def test_layers_count_each_rng_draw_of_a_payload(monkeypatch, overrides, draws):
+    monkeypatch.syspath_prepend(str(BENCHMARKS))
+    import layers
+    from tracer import Tracer
+
+    workload_config = WorkloadConfig(
+        n_adapters=4, users=3, duration_ms=1000.0, input_tokens_min=5, input_tokens_max=20,
+        output_tokens_min=1, output_tokens_max=4, seed=11, **overrides,
+    )
+    tracer = Tracer()
+    try:
+        layers.install(tracer)
+        engine.run(EngineConfig(), workload_config, prewarm_adapters=True)
+    finally:
+        tracer.unwrap()
+
+    totals = tracer.totals(tracer.spans())
+    payloads = totals["workload.sample_payload"]["calls"]
+    assert payloads > workload_config.users
+    assert totals["core.rng_next_uniform"]["calls"] == draws * payloads
 
 
 def _synthetic_tasks() -> list[tuple[str, list[tuple[str, str]]]]:

@@ -339,10 +339,11 @@ def test_serve_out_of_range_port_exits_2(monkeypatch, capfd, flags, env, message
     [
         (
             ["--input-tokens-min", "500", "--input-tokens-max", "30"],
-            "input_tokens_min: min <= max required (got 500 > 30)",
+            "--input-tokens-min: min <= max required (got 500 > 30)",
         ),
-        (["--users", "0"], "users: must be >= 1 (got 0)"),
-        (["--duration-s", "-1"], "duration_ms: must be finite and >= 0 (got -1000.0)"),
+        (["--users", "0"], "--users: must be >= 1 (got 0)"),
+        (["--duration-s", "-1"], "--duration-s: must be finite and >= 0 (got -1)"),
+        (["--adapters", "-3"], "--adapters: must be >= 0 (got -3)"),
     ],
 )
 def test_bench_invalid_workload_exits_2_before_any_request(capfd, flags, message):

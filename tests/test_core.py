@@ -154,6 +154,43 @@ def test_rng_split_leaves_parent_unchanged():
     assert value == reference
 
 
+def _reference_mix(z):
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) % 2**64
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) % 2**64
+    return z ^ (z >> 31)
+
+
+@pytest.mark.parametrize(
+    ("lo", "hi"),
+    [(7, 7), (0, 1), (0, 24), (1, 120), (0, 2**63), (0, 2**64 - 1)],
+    ids=["1", "2", "25", "120", "2**63+1", "2**64"],
+)
+def test_rng_uniform_matches_splitmix_reference(lo, hi):
+    """10,000 draws per span equal splitmix64 written out from its four constants."""
+    span = hi - lo + 1
+    limit = 2**64 - 2**64 % span
+    start = rng_split(Rng(2026), span)
+    assert type(start) is int
+    assert start == _reference_mix(2026 ^ _reference_mix(((span + 1) * 0x9E3779B97F4A7C15) % 2**64))
+    rng = state = start
+    rejected = 0
+    for _ in range(10_000):
+        while True:
+            state = (state + 0x9E3779B97F4A7C15) % 2**64
+            value = _reference_mix(state)
+            if value < limit:
+                break
+            rejected += 1
+        drawn, rng = rng_next_uniform(rng, lo, hi)
+        assert type(rng) is int
+        assert (drawn, rng) == (lo + value % span, state)
+    if span == 2**63 + 1:
+        # Half of all 64-bit values lie at or above 2**63 + 1, so a draw rejects one on average.
+        assert 9_000 < rejected < 11_000
+    else:
+        assert rejected == 0
+
+
 def test_adapter_naming():
     assert adapter_name(0) == "adapter-00"
     assert adapter_name(24) == "adapter-24"

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from adapterd.cache import AdapterCache
 from adapterd.core import BASE_ADAPTER, EngineConfig, Request, adapter_name
@@ -147,3 +149,45 @@ def test_drain_queued_reports_leftovers():
     leftovers = sched.drain_queued()
     assert sorted(r.id for r in leftovers) == ["r1", "r2"]
     assert not sched.has_backlog()
+
+
+_ADAPTERS = [BASE_ADAPTER] + [adapter_name(i) for i in range(3)]
+_OPS = st.lists(
+    st.one_of(
+        st.tuples(st.just("enqueue"), st.sampled_from(_ADAPTERS)),
+        st.tuples(st.just("plan"), st.integers(0, 3), st.integers(1, 3)),
+        st.tuples(st.just("complete"), st.integers(0, 50)),
+        st.tuples(st.just("drain")),
+    ),
+    max_size=60,
+)
+
+
+@given(_OPS)
+def test_has_backlog_iff_some_request_is_queued(ops):
+    """Over any mix of operations, has_backlog() says whether some queue holds a request."""
+    sched = Scheduler()
+    # Two GPU slots for three adapters, so plans meet loads in transit and evictions.
+    cache = AdapterCache(
+        EngineConfig(gpu_slots=2, cpu_slots=1), [adapter_name(i) for i in range(3)], prewarm=False
+    )
+    queued: set[str] = set()
+    in_flight: list[str] = []
+    for step, op in enumerate(ops):
+        now = 1000.0 * step
+        if op[0] == "enqueue":
+            rid = f"r{step}"
+            sched.enqueue(_req(rid, op[1], submit=now))
+            queued.add(rid)
+        elif op[0] == "plan":
+            cache.on_clock(now)
+            plan = sched.plan_admission(cache, now, free_slots=op[1], budget=op[2], step=step)
+            for request in plan.admitted:
+                queued.remove(request.id)
+                in_flight.append(request.id)
+        elif op[0] == "complete" and in_flight:
+            sched.on_complete(in_flight.pop(op[1] % len(in_flight)))
+        elif op[0] == "drain":
+            assert {request.id for request in sched.drain_queued()} == queued
+            queued.clear()
+        assert sched.has_backlog() == bool(queued)
