@@ -155,17 +155,8 @@ def cmd_serve(args: argparse.Namespace) -> int:
     return 0
 
 
-# The bench flag that sets each WorkloadConfig field, so an error names what was typed.
-_BENCH_FLAGS = {
-    "n_adapters": "--adapters",
-    "users": "--users",
-    "duration_ms": "--duration-s",
-    "input_tokens_min": "--input-tokens-min",
-    "input_tokens_max": "--input-tokens-max",
-    "output_tokens_min": "--output-tokens-min",
-    "output_tokens_max": "--output-tokens-max",
-    "seed": "--seed",
-}
+# Each bench flag is its WorkloadConfig field's name with dashes, except these.
+_BENCH_FLAG_RENAMES = {"n_adapters": "--adapters", "duration_ms": "--duration-s"}
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
@@ -184,9 +175,10 @@ def cmd_bench(args: argparse.Namespace) -> int:
     violations = []
     for violation in config_violations(EngineConfig(), workload):
         field, rule = violation.split(": ", 1)
-        if field == "duration_ms":
+        if field == "duration_ms":  # typed in seconds, held in milliseconds
             rule = rule.replace(repr(workload.duration_ms), f"{args.duration_s:g}")
-        violations.append(f"{_BENCH_FLAGS[field]}: {rule}")
+        flag = _BENCH_FLAG_RENAMES.get(field, "--" + field.replace("_", "-"))
+        violations.append(f"{flag}: {rule}")
     if violations:
         raise ConfigError(violations)
     report = bench(ReplicaSet(endpoints=tuple(args.url)), workload)
