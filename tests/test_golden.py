@@ -12,7 +12,10 @@ The bundled scenarios never hold more adapters than ``gpu_slots``, so they
 never evict.  ``EVICTION_GOLDEN`` pins ``run()`` on oversubscribed
 configurations instead, so the order in which the adapter cache demotes and
 promotes is fixed as well: the SHA-256 covers the report's summary,
-per-adapter counts, final tier occupancy and every record.
+per-adapter counts, final tier occupancy and every record.  ``churn-scale``
+is the benchmark's ``adapter-churn`` configuration (2,000 adapters, 300
+users) at a seed of its own, so the admission sweep's fetch order is pinned
+at the scale where its queues are longest.
 
 ``PROFILE_GOLDEN`` pins ``adapterd profile <file> --output f.json`` on a
 seeded dataset whose pairs are long enough to span several 64-bit words,
@@ -94,6 +97,13 @@ EVICTION_CASES = {
             n_adapters=16, users=16, duration_ms=20000.0, seed=4, adapter_assignment="per_user"
         ),
     ),
+    "churn-scale": (
+        EngineConfig(),
+        WorkloadConfig(
+            n_adapters=2000, users=300, duration_ms=10000.0, input_tokens_min=30,
+            input_tokens_max=500, output_tokens_min=1, output_tokens_max=120, seed=5,
+        ),
+    ),
 }
 
 EVICTION_GOLDEN = {
@@ -101,6 +111,7 @@ EVICTION_GOLDEN = {
     "no-cpu-tier": "ccc238f1e24f02512b955d8fc83c38436285988562b7eb88090e173c35e607e4",
     "zero-latency-hops": "c2dfbeb11d240e545281d9f28cb8a9cdc1bd9d3076f698669a438acaa3c1eeea",
     "per-user": "399de1f456c2ad93d29c54a2df6f5f7933d8c7160cdba0dc077b99bf45ebcf89",
+    "churn-scale": "e9dcc086f79ca453b8fd754254c4fde240cf4e5b1a2c62f871188fc613890b5f",
 }
 
 
