@@ -217,11 +217,6 @@ def _mix64(z: int) -> int:
     return z ^ (z >> 31)
 
 
-def rng_next_u64(rng: Rng) -> tuple[int, Rng]:
-    state = (rng + _GOLDEN) & _MASK64
-    return _mix64(state), state
-
-
 def rng_next_uniform(rng: Rng, lo: int, hi: int) -> tuple[int, Rng]:
     """Uniform integer in [lo, hi], unbiased via rejection sampling."""
     if lo > hi:

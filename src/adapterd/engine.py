@@ -5,9 +5,11 @@ adapters.  Requests prefill concurrently (``prefill_base_ms +
 prefill_per_token_ms * input_tokens``), then decode token by token.  Decode
 gaps are priced *at schedule time* against the streaming set -- the sequences
 that have emitted at least one token and are not yet finished -- at
-``decode_base_ms + decode_per_seq_ms * |streaming set|``.  A request's first
-token additionally pays a small switch penalty when it brings a new non-base
-adapter into an already-streaming batch.
+``decode_base_ms + decode_per_seq_ms * |streaming set|``.  That gap is
+repriced only when the streaming set changes (a first token joins it, a
+finish leaves it), which gives the same values as pricing it per token.  A
+request's first token additionally pays a small switch penalty when it brings
+a new non-base adapter into an already-streaming batch.
 
 Everything runs off a single event heap.  Events at the same instant are
 ordered by kind: adapter-fetch completions, then token emissions, then
@@ -82,7 +84,7 @@ def single_request_timeline(
 
 
 class _Flight:
-    """Mutable per-sequence decode state."""
+    """Mutable per-sequence decode state, carried as its prefill and token events' payload."""
 
     __slots__ = ("request", "emitted", "first_ms", "streaming")
 
@@ -124,8 +126,8 @@ class EngineCore:
         self.clock = 0.0
         self._heap: list[tuple[float, int, int, object]] = []
         self._counter = itertools.count()
-        self._flights: dict[str, _Flight] = {}
         self._streaming_count = 0
+        self._gap = decode_gap(config, 0)
         self._streaming_adapters: dict[str, int] = {}
         self._plan_times: set[float] = set()
         self._wake_times: set[float] = set()
@@ -192,7 +194,7 @@ class EngineCore:
             return
         self.cache.on_clock(now)
         config = self._config
-        free = config.max_batch_size - len(self._flights)
+        free = config.max_batch_size - self.scheduler.in_flight_count
         admitted = False
         if free > 0 and self.scheduler.has_backlog():
             self._step += 1
@@ -200,11 +202,10 @@ class EngineCore:
                 self.cache, now, free, config.admission_per_step, self._step
             )
             for request in plan.admitted:
-                self._flights[request.id] = _Flight(request)
                 self._push(
                     now + prefill_time(config, request.input_tokens),
                     _PRIO_PREFILL,
-                    request.id,
+                    _Flight(request),
                 )
                 admitted = True
         next_ready = self.cache.next_ready_at()
@@ -222,8 +223,7 @@ class EngineCore:
         if next_ready is not None:
             self._request_wake(next_ready)
 
-    def _handle_prefill_done(self, request_id: str, now: float) -> None:
-        flight = self._flights[request_id]
+    def _handle_prefill_done(self, flight: _Flight, now: float) -> None:
         config = self._config
         gap = decode_gap(config, self._streaming_count + 1)
         adapter = flight.request.adapter
@@ -233,10 +233,9 @@ class EngineCore:
             and adapter not in self._streaming_adapters
         ):
             gap += config.switch_overhead_ms
-        self._push(now + gap, _PRIO_TOKEN, request_id)
+        self._push(now + gap, _PRIO_TOKEN, flight)
 
-    def _handle_token(self, request_id: str, now: float) -> None:
-        flight = self._flights[request_id]
+    def _handle_token(self, flight: _Flight, now: float) -> None:
         flight.emitted += 1
         emitted = flight.emitted
         request = flight.request
@@ -245,21 +244,21 @@ class EngineCore:
             if request.max_new_tokens > 1:
                 flight.streaming = True
                 self._streaming_count += 1
+                self._gap = decode_gap(self._config, self._streaming_count)
                 counts = self._streaming_adapters
                 counts[request.adapter] = counts.get(request.adapter, 0) + 1
         if self._on_token is not None:
-            self._on_token(request_id, emitted - 1, now)
+            self._on_token(request.id, emitted - 1, now)
         if emitted >= request.max_new_tokens:
             self._finish(flight, now)
         else:
-            gap = decode_gap(self._config, self._streaming_count)
-            self._push(now + gap, _PRIO_TOKEN, request_id)
+            heappush(self._heap, (now + self._gap, _PRIO_TOKEN, next(self._counter), flight))
 
     def _finish(self, flight: _Flight, now: float) -> None:
         request = flight.request
-        del self._flights[request.id]
         if flight.streaming:
             self._streaming_count -= 1
+            self._gap = decode_gap(self._config, self._streaming_count)
             counts = self._streaming_adapters
             counts[request.adapter] -= 1
             if counts[request.adapter] == 0:

@@ -7,12 +7,18 @@ or the free batch slots run out. Non-resident adapters encountered during the
 sweep get their background load triggered once and are skipped for this plan.
 The policy is deterministic and starvation-free: an adapter that contributed
 this step moves to the back of the next step's order.
+
+The order lives in a heap holding one ``(last_served, name)`` entry per
+adapter with a non-empty queue.  The first sweep pops entries only as far as
+it gets, and only the adapters it popped are pushed back afterwards, so a
+plan costs O(visited * log queued) however many adapters wait.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from heapq import heappop, heappush
 
 from .cache import AdapterCache
 from .core import Request, VirtualTime
@@ -36,6 +42,7 @@ class AdmissionPlan:
 class Scheduler:
     def __init__(self) -> None:
         self._queues: dict[str, deque[Request]] = {}
+        self._order: list[tuple[int, str]] = []
         self._last_served: dict[str, int] = {}
         self._queued_ids: set[str] = set()
         self._in_flight: set[str] = set()
@@ -43,7 +50,12 @@ class Scheduler:
     def enqueue(self, request: Request) -> None:
         if request.id in self._queued_ids or request.id in self._in_flight:
             raise DuplicateRequestError(request.id)
-        self._queues.setdefault(request.adapter, deque()).append(request)
+        adapter = request.adapter
+        queue = self._queues.get(adapter)
+        if queue is None:
+            queue = self._queues[adapter] = deque()
+            heappush(self._order, (self._last_served.get(adapter, -1), adapter))
+        queue.append(request)
         self._queued_ids.add(request.id)
 
     def plan_admission(
@@ -54,38 +66,43 @@ class Scheduler:
         budget: int,
         step: int,
     ) -> AdmissionPlan:
-        order = sorted(
-            (a for a, q in self._queues.items() if q),
-            key=lambda a: (self._last_served.get(a, -1), a),
-        )
+        queues = self._queues
+        heap = self._order
+        room = min(budget, free_slots)
         admitted: list[Request] = []
-        contributed: set[str] = set()
-        resident: dict[str, bool] = {}
-        progress = True
-        while budget > 0 and free_slots > 0 and progress:
+        visited: list[str] = []
+        served: list[str] = []
+        # First sweep: every popped adapter has a non-empty queue and is touched once.
+        while room > 0 and heap:
+            adapter = heappop(heap)[1]
+            visited.append(adapter)
+            if cache.touch(adapter, now).resident:
+                served.append(adapter)
+                admitted.append(queues[adapter].popleft())
+                room -= 1
+        # Later sweeps revisit the resident adapters in the same order.
+        progress = bool(served)
+        while room > 0 and progress:
             progress = False
-            for adapter in order:
-                if budget <= 0 or free_slots <= 0:
+            for adapter in served:
+                if room <= 0:
                     break
-                queue = self._queues.get(adapter)
-                if not queue:
-                    continue
-                if adapter not in resident:
-                    resident[adapter] = cache.touch(adapter, now).resident
-                if not resident[adapter]:
-                    continue
-                request = queue.popleft()
-                admitted.append(request)
-                self._queued_ids.discard(request.id)
-                self._in_flight.add(request.id)
-                contributed.add(adapter)
-                budget -= 1
-                free_slots -= 1
-                progress = True
-        for adapter in contributed:
-            self._last_served[adapter] = step
-        for adapter in [a for a, q in self._queues.items() if not q]:
-            del self._queues[adapter]
+                queue = queues[adapter]
+                if queue:
+                    admitted.append(queue.popleft())
+                    room -= 1
+                    progress = True
+        for request in admitted:
+            self._queued_ids.discard(request.id)
+            self._in_flight.add(request.id)
+        last_served = self._last_served
+        for adapter in served:
+            last_served[adapter] = step
+        for adapter in visited:
+            if queues[adapter]:
+                heappush(heap, (last_served.get(adapter, -1), adapter))
+            else:
+                del queues[adapter]
         return AdmissionPlan(tuple(admitted))
 
     def on_complete(self, request_id: str) -> None:
@@ -104,5 +121,6 @@ class Scheduler:
         """Remove and return every still-queued request (end-of-run discard)."""
         leftovers = [req for queue in self._queues.values() for req in queue]
         self._queues.clear()
+        self._order.clear()
         self._queued_ids.clear()
         return leftovers

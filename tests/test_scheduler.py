@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+from collections import deque
+
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from adapterd.cache import AdapterCache
+from adapterd.cache import AdapterCache, CacheOutcome
 from adapterd.core import BASE_ADAPTER, EngineConfig, Request, adapter_name
 from adapterd.scheduler import DuplicateRequestError, Scheduler, UnknownRequestError
 
@@ -191,3 +193,118 @@ def test_has_backlog_iff_some_request_is_queued(ops):
             assert {request.id for request in sched.drain_queued()} == queued
             queued.clear()
         assert sched.has_backlog() == bool(queued)
+
+
+class _ReferenceScheduler:
+    """The admission sweep written plainly: sort every queued adapter on each plan.
+
+    ``Scheduler`` keeps the same ``(last_served, name)`` order in a heap and
+    must admit the same requests and touch the cache in the same order.
+    """
+
+    def __init__(self) -> None:
+        self.queues: dict[str, deque[Request]] = {}
+        self.last_served: dict[str, int] = {}
+
+    def enqueue(self, request: Request) -> None:
+        self.queues.setdefault(request.adapter, deque()).append(request)
+
+    def plan_admission(self, cache, now, free_slots, budget, step) -> list[Request]:
+        order = sorted(
+            (a for a, q in self.queues.items() if q),
+            key=lambda a: (self.last_served.get(a, -1), a),
+        )
+        admitted: list[Request] = []
+        contributed: set[str] = set()
+        resident: dict[str, bool] = {}
+        progress = True
+        while budget > 0 and free_slots > 0 and progress:
+            progress = False
+            for adapter in order:
+                if budget <= 0 or free_slots <= 0:
+                    break
+                queue = self.queues.get(adapter)
+                if not queue:
+                    continue
+                if adapter not in resident:
+                    resident[adapter] = cache.touch(adapter, now).resident
+                if not resident[adapter]:
+                    continue
+                admitted.append(queue.popleft())
+                contributed.add(adapter)
+                budget -= 1
+                free_slots -= 1
+                progress = True
+        for adapter in contributed:
+            self.last_served[adapter] = step
+        for adapter in [a for a, q in self.queues.items() if not q]:
+            del self.queues[adapter]
+        return admitted
+
+    def drain_queued(self) -> list[Request]:
+        leftovers = [req for queue in self.queues.values() for req in queue]
+        self.queues.clear()
+        return leftovers
+
+
+class _RecordingCache:
+    """Answers every adapter outside ``cold`` as resident and records each touch in order."""
+
+    def __init__(self, cold: frozenset[str]) -> None:
+        self.cold = cold
+        self.touches: list[str] = []
+
+    def touch(self, adapter: str, now: float) -> CacheOutcome:
+        self.touches.append(adapter)
+        return CacheOutcome(now + 1.0 if adapter in self.cold else None)
+
+
+_MANY_ADAPTERS = [BASE_ADAPTER] + [adapter_name(i) for i in range(8)]
+# Enqueue is drawn twice as often, and a sequence has at least 20 operations,
+# so several adapters hold several requests when a plan runs; with shorter,
+# sparser draws a heap that never records `last_served` went unnoticed.
+_ENQUEUE = st.tuples(st.just("enqueue"), st.sampled_from(_MANY_ADAPTERS))
+_SWEEP_OPS = st.lists(
+    st.one_of(
+        _ENQUEUE,
+        _ENQUEUE,
+        st.tuples(
+            st.just("plan"),
+            st.integers(0, 6),
+            st.integers(0, 6),
+            st.integers(0, 40),
+            st.frozensets(st.sampled_from(_MANY_ADAPTERS)),
+        ),
+        st.tuples(st.just("complete"), st.integers(0, 50)),
+        st.tuples(st.just("drain")),
+    ),
+    min_size=20,
+    max_size=100,
+)
+
+
+@settings(max_examples=300)
+@given(_SWEEP_OPS)
+def test_heap_sweep_matches_the_sorted_reference(ops):
+    """Admitted requests, touch order and leftovers equal the sorted sweep's."""
+    sched = Scheduler()
+    reference = _ReferenceScheduler()
+    in_flight: list[str] = []
+    for index, op in enumerate(ops):
+        if op[0] == "enqueue":
+            request = _req(f"r{index}", op[1])
+            sched.enqueue(request)
+            reference.enqueue(request)
+        elif op[0] == "plan":
+            _, free_slots, budget, step, cold = op
+            cache, reference_cache = _RecordingCache(cold), _RecordingCache(cold)
+            plan = sched.plan_admission(cache, 0.0, free_slots, budget, step)
+            expected = reference.plan_admission(reference_cache, 0.0, free_slots, budget, step)
+            assert [r.id for r in plan.admitted] == [r.id for r in expected]
+            assert cache.touches == reference_cache.touches
+            in_flight.extend(r.id for r in plan.admitted)
+        elif op[0] == "complete" and in_flight:
+            sched.on_complete(in_flight.pop(op[1] % len(in_flight)))
+        elif op[0] == "drain":
+            leftovers = sched.drain_queued()
+            assert [r.id for r in leftovers] == [r.id for r in reference.drain_queued()]
