@@ -161,3 +161,47 @@ def test_profile_output_hash_is_pinned(tmp_path, capsys):
     assert main(["profile", str(dataset), "--output", str(output)]) == 0
     capsys.readouterr()
     assert hashlib.sha256(output.read_bytes()).hexdigest() == PROFILE_GOLDEN
+
+
+# The JSON hashes each report would have without ``config.workload.task_profiles``.
+# Deleting that field must change no other byte: afterwards the plain hashes
+# above must equal these.
+STRIPPED_GOLDEN = {
+    ("fairness", None): "03bc3ce895935760b6056257b15e538a02637fdfddc01ee42150d196912bebcf",
+    ("table8", None): "ee09989d5620f04065fe15ed135a2c36de945fd0cf56f797813ac11bb909f77c",
+    ("table9", None): "99966da52bd558a283f777547d25c38679d5c5bc80d5e6fe871a9e891849daa8",
+    ("table10", None): "ff15ad1d9f479d75c18d0a79a297d61ecd1e03a3327d7015a6496c20066e7d6d",
+    ("table11", None): "c378fc15333af090bd5aff8a880fd687f93991f2e4d29a94cde29ac0722298e2",
+    ("fairness", 1): "3469aee9070a7534b5fdbc6538adabd18860bd81888a8b9acac2298076bb286c",
+    ("table9", 1): "ea43a85bb9ffae05ee333bc257e709e8b145ec9fc6570fa1878fc02ac616710f",
+    ("table10", 1): "bbdaa8902452f97b11ef2be24f72cc3b691e8f0069b749eda4024b43fb37ffce",
+    ("table11", 1): "f8efc86f4e5b4280360c83679e979f22657030a6c60ac90f79f0195823e21525",
+    "200-adapters": "8dd2956357af5ccd9739a9b041d09bb9d2572a4774f937e4994d9a1a89bda18b",
+    "no-cpu-tier": "62b39c9e30dbe8605303517d317cef5a69828137cd740f000afbe2e030f52db6",
+    "zero-latency-hops": "59904ea1fcc9a13cccefd2be71c1b12f16f1cbd064503d65c005b899c61c14b5",
+    "per-user": "ff39d9aca138f3d0e9a6fe09be9dfadb29604674a9073665a233c34636bcd7e8",
+    "churn-scale": "69d5f2c179a2a88183e89f9e37d02fbe69aa40b9b6265131279f069b2d7c8b6e",
+}
+
+
+@pytest.mark.parametrize("case", sorted(STRIPPED_GOLDEN, key=str))
+def test_report_hash_without_task_profiles_key(case, tmp_path, capsys):
+    if case in EVICTION_CASES:
+        report = run(*EVICTION_CASES[case])
+        data = report.to_json_str(include_records=True).encode("utf-8")
+    else:
+        scenario, seed = case
+        output = tmp_path / "report.json"
+        argv = ["simulate", scenario, "--output", str(output), "--records"]
+        if seed is not None:
+            argv += ["--seed", str(seed)]
+        assert main(argv) == 0
+        capsys.readouterr()
+        data = output.read_bytes()
+    parsed = json.loads(data)
+    # The re-dump reproduces the report byte for byte, so dropping one key
+    # from it leaves every other byte as the report wrote it.
+    assert (json.dumps(parsed, sort_keys=True, indent=2) + "\n").encode("utf-8") == data
+    parsed["config"]["workload"].pop("task_profiles")
+    stripped = (json.dumps(parsed, sort_keys=True, indent=2) + "\n").encode("utf-8")
+    assert hashlib.sha256(stripped).hexdigest() == STRIPPED_GOLDEN[case]
