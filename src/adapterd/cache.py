@@ -62,7 +62,12 @@ _RESIDENT = CacheOutcome()
 
 @dataclass(frozen=True)
 class AdapterEntry:
-    """Snapshot of one adapter's residency state."""
+    """Snapshot of one adapter's residency state, as ``AdapterCache.snapshot`` returns it.
+
+    No command reads it.  It is kept on purpose as the test and benchmark
+    seam: C7's brute-force replay compares residency through it, and the
+    ``adapter-churn`` residency check in ``benchmarks/README.md`` needs it.
+    """
 
     tier: str
     last_used: VirtualTime
@@ -182,6 +187,7 @@ class AdapterCache:
         return self._in_transit[0][0] if self._in_transit else None
 
     def snapshot(self) -> dict[str, AdapterEntry]:
+        """Every adapter's tier, last use and ready time: the test and benchmark seam."""
         return {
             a: AdapterEntry(self._tier[a], self._last_used[a], self._ready_at.get(a))
             for a in self._tier

@@ -53,17 +53,6 @@ class EngineConfig:
 
 
 @dataclass(frozen=True)
-class TaskTokenProfile:
-    """Per-task payload band: inputs/outputs sampled uniformly in [min, p95]."""
-
-    name: str
-    input_min: int
-    input_p95: int
-    output_min: int
-    output_p95: int
-
-
-@dataclass(frozen=True)
 class WorkloadConfig:
     """Closed-loop workload shape: users, duration, and payload distributions.
 
@@ -80,27 +69,10 @@ class WorkloadConfig:
     output_tokens_min: int = 1
     output_tokens_max: int = 120
     seed: int = 0
-    task_profiles: tuple[TaskTokenProfile, ...] | None = None
     adapter_assignment: str = "uniform"
 
     def to_dict(self) -> dict[str, Any]:
-        out: dict[str, Any] = {
-            f.name: getattr(self, f.name) for f in fields(self) if f.name != "task_profiles"
-        }
-        if self.task_profiles is None:
-            out["task_profiles"] = None
-        else:
-            out["task_profiles"] = [
-                {
-                    "name": p.name,
-                    "input_min": p.input_min,
-                    "input_p95": p.input_p95,
-                    "output_min": p.output_min,
-                    "output_p95": p.output_p95,
-                }
-                for p in self.task_profiles
-            ]
-        return out
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 class Request(NamedTuple):
@@ -175,17 +147,6 @@ def config_violations(engine: EngineConfig, workload: WorkloadConfig) -> list[st
         )
     elif workload.adapter_assignment == "per_user" and workload.n_adapters < 1:
         v.append("adapter_assignment: per_user requires n_adapters >= 1")
-    for profile in workload.task_profiles or ():
-        for lo_name, hi_name in (("input_min", "input_p95"), ("output_min", "output_p95")):
-            lo = getattr(profile, lo_name)
-            hi = getattr(profile, hi_name)
-            if lo < 1:
-                v.append(f"task_profiles[{profile.name}].{lo_name}: must be >= 1 (got {lo})")
-            if lo > hi:
-                v.append(
-                    f"task_profiles[{profile.name}].{lo_name}: min <= p95 required "
-                    f"(got {lo} > {hi})"
-                )
     return v
 
 
@@ -259,19 +220,7 @@ def engine_config_from_dict(raw: dict[str, Any]) -> EngineConfig:
 
 
 def workload_config_from_dict(raw: dict[str, Any]) -> WorkloadConfig:
-    raw = dict(raw)
-    profiles_raw = raw.pop("task_profiles", None)
-    known = {f.name for f in fields(WorkloadConfig)}
-    unknown = sorted(set(raw) - known)
-    if unknown:
-        raise ValueError(f"workload: unknown fields {unknown}")
-    profiles = None
-    if profiles_raw is not None:
-        profiles = tuple(
-            _dataclass_from_dict(TaskTokenProfile, p, f"workload.task_profiles[{i}]")
-            for i, p in enumerate(profiles_raw)
-        )
-    return WorkloadConfig(task_profiles=profiles, **raw)
+    return _dataclass_from_dict(WorkloadConfig, raw, "workload")
 
 
 def scenario_from_dict(raw: dict[str, Any]) -> Scenario:

@@ -54,7 +54,6 @@ __all__ = [
     "LiveServer",
     "ReplicaSet",
     "bench",
-    "pick_replica",
     "serve",
     "start_server",
 ]
@@ -75,22 +74,9 @@ _FINISHED = object()
 
 @dataclass(frozen=True)
 class ReplicaSet:
-    """An ordered set of replica base URLs plus the rotation cursor."""
+    """An ordered set of replica base URLs; ``bench`` rotates through them in order."""
 
     endpoints: tuple[str, ...]
-    next_index: int = 0
-
-
-def pick_replica(replica_set: ReplicaSet) -> tuple[str, ReplicaSet]:
-    """Return the next endpoint in strict rotation and the advanced set."""
-    if not replica_set.endpoints:
-        raise ValueError("replica set has no endpoints")
-    endpoint = replica_set.endpoints[replica_set.next_index % len(replica_set.endpoints)]
-    advanced = replace(
-        replica_set,
-        next_index=(replica_set.next_index + 1) % len(replica_set.endpoints),
-    )
-    return endpoint, advanced
 
 
 # -- live engine --------------------------------------------------------------
@@ -502,23 +488,19 @@ def bench(replicas: ReplicaSet, workload: WorkloadConfig) -> RunReport:
     """Drive a closed-loop workload against live replicas and report.
 
     One thread per user; each request goes to the next replica in strict
-    rotation through a shared picker.  Users resubmit immediately after a
-    completion and stop submitting once the configured duration elapses, so
-    the protocol matches the simulator's closed loop.  Transport failures are
-    counted, retried after a short backoff, and excluded from latency.
+    rotation, starting from the first endpoint.  Users resubmit immediately
+    after a completion and stop submitting once the configured duration
+    elapses, so the protocol matches the simulator's closed loop.  Transport
+    failures are counted, retried after a short backoff, and excluded from
+    latency.
     """
     if not replicas.endpoints:
         raise ValueError("bench needs at least one replica endpoint")
     # The replicas check their own engines; a default one lets the workload rules run.
     validate_config(EngineConfig(), workload)
     origin = time.monotonic()
-    picker_lock = threading.Lock()
-    cursor = [replicas]
-
-    def pick() -> str:
-        with picker_lock:
-            endpoint, cursor[0] = pick_replica(cursor[0])
-            return endpoint
+    rotation = itertools.cycle(replicas.endpoints)
+    rotation_lock = threading.Lock()
 
     users = workload.users
     results: list[list[tuple[str, RequestRecord]]] = [[] for _ in range(users)]
@@ -532,7 +514,8 @@ def bench(replicas: ReplicaSet, workload: WorkloadConfig) -> RunReport:
             payload, user.rng = sample_payload(
                 user.rng, workload, fixed_adapter=user.pinned_adapter
             )
-            endpoint = pick()
+            with rotation_lock:
+                endpoint = next(rotation)
             sequence += 1
             attempts[user_index] += 1
             request_id = f"u{user_index:03d}-{sequence:05d}"

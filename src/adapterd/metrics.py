@@ -23,7 +23,6 @@ __all__ = [
     "derive",
     "merge",
     "percentile",
-    "records_csv_header",
     "summarize",
     "write_records_csv",
 ]
@@ -162,10 +161,6 @@ def _record_row(record: RequestRecord) -> dict:
         "first_token_ms": record.first_token_ms,
         "last_token_ms": record.last_token_ms,
     }
-
-
-def records_csv_header() -> str:
-    return ",".join(_CSV_FIELDS)
 
 
 def write_records_csv(records: Iterable[RequestRecord], stream: IO[str]) -> None:

@@ -8,10 +8,9 @@ global user index, so replica layouts and user counts never perturb each
 other's draws; :func:`user_tick` is the loop's only decision, taken whenever
 the user is idle.
 
-Payload sampling draws, in a fixed order: the task profile (when profiles are
-configured), the input length, the output length, and finally the adapter.
-Pinned-adapter sampling skips only the adapter draw, leaving the token-length
-stream untouched.
+Payload sampling draws, in a fixed order: the input length, the output
+length, and finally the adapter.  Pinned-adapter sampling skips only the
+adapter draw, leaving the token-length stream untouched.
 """
 
 from __future__ import annotations
@@ -66,15 +65,12 @@ def sample_payload(
     rng: Rng, workload: WorkloadConfig, fixed_adapter: str | None = None
 ) -> tuple[Payload, Rng]:
     """Draw one request shape, returning the payload and the advanced stream."""
-    input_lo, input_hi = workload.input_tokens_min, workload.input_tokens_max
-    output_lo, output_hi = workload.output_tokens_min, workload.output_tokens_max
-    if workload.task_profiles:
-        index, rng = rng_next_uniform(rng, 0, len(workload.task_profiles) - 1)
-        profile = workload.task_profiles[index]
-        input_lo, input_hi = profile.input_min, profile.input_p95
-        output_lo, output_hi = profile.output_min, profile.output_p95
-    input_tokens, rng = rng_next_uniform(rng, input_lo, input_hi)
-    output_tokens, rng = rng_next_uniform(rng, output_lo, output_hi)
+    input_tokens, rng = rng_next_uniform(
+        rng, workload.input_tokens_min, workload.input_tokens_max
+    )
+    output_tokens, rng = rng_next_uniform(
+        rng, workload.output_tokens_min, workload.output_tokens_max
+    )
     if fixed_adapter is not None:
         adapter = fixed_adapter
     elif workload.n_adapters == 0:

@@ -24,7 +24,7 @@ import pytest
 import adapterd.cli as cli
 import adapterd.engine as engine
 import adapterd.profiler as profiler
-from adapterd.core import EngineConfig, TaskTokenProfile, WorkloadConfig
+from adapterd.core import EngineConfig, WorkloadConfig
 from adapterd.profiler import (
     PROFILE_FEATURES,
     QUALITY_METRICS,
@@ -80,20 +80,13 @@ def test_layers_install_wraps_and_unwraps(monkeypatch, tmp_path, capsys):
     assert totals["engine.run"]["calls"] == 1
 
 
-_TASKS = (
-    TaskTokenProfile(name="short", input_min=5, input_p95=10, output_min=1, output_p95=3),
-    TaskTokenProfile(name="long", input_min=40, input_p95=60, output_min=2, output_p95=6),
-)
-
-
 @pytest.mark.parametrize(
     ("overrides", "draws"),
     [
         ({}, 3),  # input length, output length, adapter
         ({"adapter_assignment": "per_user"}, 2),  # the adapter is pinned, not drawn
-        ({"task_profiles": _TASKS}, 4),  # the task profile first
     ],
-    ids=["uniform", "per_user", "task_profiles"],
+    ids=["uniform", "per_user"],
 )
 def test_layers_count_each_rng_draw_of_a_payload(monkeypatch, overrides, draws):
     monkeypatch.syspath_prepend(str(BENCHMARKS))

@@ -13,7 +13,6 @@ import adapterd.gateway as gateway
 from adapterd.cli import _resolve_scenario, main
 from adapterd.core import EngineConfig, adapter_name
 from adapterd.gateway import start_server
-from adapterd.metrics import records_csv_header
 from adapterd.profiler import bundled_fixture_path
 
 
@@ -105,7 +104,9 @@ def test_simulate_csv_output(tmp_path):
     out = tmp_path / "records.csv"
     assert main(["simulate", str(path), "--output", str(out), "--format", "csv"]) == 0
     lines = out.read_text().splitlines()
-    assert lines[0] == records_csv_header()
+    assert lines[0] == (
+        "request_id,adapter,input_tokens,output_tokens,submit_ms,first_token_ms,last_token_ms"
+    )
     assert len(lines) > 1
 
 

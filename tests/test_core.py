@@ -13,7 +13,6 @@ from adapterd.core import (
     ConfigError,
     EngineConfig,
     Rng,
-    TaskTokenProfile,
     WorkloadConfig,
     adapter_name,
     config_violations,
@@ -208,19 +207,7 @@ def test_scenario_round_trip():
     raw = {
         "name": "tiny",
         "engine": {"decode_base_ms": 10.0},
-        "workload": {
-            "users": 2,
-            "duration_ms": 1000,
-            "task_profiles": [
-                {
-                    "name": "nlg",
-                    "input_min": 92,
-                    "input_p95": 153,
-                    "output_min": 1,
-                    "output_p95": 40,
-                }
-            ],
-        },
+        "workload": {"users": 2, "duration_ms": 1000},
         "replicas": 2,
     }
     scenario = scenario_from_dict(raw)
@@ -228,9 +215,6 @@ def test_scenario_round_trip():
     assert scenario.engine.decode_base_ms == 10.0
     assert scenario.engine.gpu_slots == 32
     assert scenario.workload.users == 2
-    assert scenario.workload.task_profiles == (
-        TaskTokenProfile(name="nlg", input_min=92, input_p95=153, output_min=1, output_p95=40),
-    )
     assert scenario.replicas == 2
     assert scenario.prewarm_adapters is False
 
@@ -238,3 +222,5 @@ def test_scenario_round_trip():
 def test_scenario_rejects_unknown_keys():
     with pytest.raises(ValueError):
         scenario_from_dict({"engine": {"warp_speed": 9}, "workload": {}})
+    with pytest.raises(ValueError, match=r"workload: unknown fields \['task_profiles'\]"):
+        scenario_from_dict({"workload": {"task_profiles": []}})

@@ -10,6 +10,7 @@ import urllib.request
 
 import pytest
 
+import adapterd.gateway as gateway
 from adapterd.core import EngineConfig, WorkloadConfig, adapter_name
 from adapterd.engine import run
 from adapterd.gateway import (
@@ -18,7 +19,6 @@ from adapterd.gateway import (
     ReplicaSet,
     _GatewayHandler,
     bench,
-    pick_replica,
     start_server,
 )
 
@@ -65,33 +65,6 @@ def server():
     handle = start_server(_FAST, port=0, adapters=[adapter_name(0)])
     yield handle
     handle.stop()
-
-
-def test_pick_replica_cycles_strictly():
-    replica_set = ReplicaSet(endpoints=("A", "B"))
-    seen = []
-    for _ in range(4):
-        endpoint, replica_set = pick_replica(replica_set)
-        seen.append(endpoint)
-    assert seen == ["A", "B", "A", "B"]
-
-
-def test_pick_replica_singleton_and_exact_counts():
-    replica_set = ReplicaSet(endpoints=("only",))
-    for _ in range(5):
-        endpoint, replica_set = pick_replica(replica_set)
-        assert endpoint == "only"
-    replica_set = ReplicaSet(endpoints=("a", "b", "c"))
-    counts = {"a": 0, "b": 0, "c": 0}
-    for _ in range(3 * 7):
-        endpoint, replica_set = pick_replica(replica_set)
-        counts[endpoint] += 1
-    assert counts == {"a": 7, "b": 7, "c": 7}
-
-
-def test_pick_replica_empty_rejected():
-    with pytest.raises(ValueError):
-        pick_replica(ReplicaSet(endpoints=()))
 
 
 def test_healthz(server):
@@ -213,6 +186,35 @@ def test_bench_two_replicas_round_robin_within_one():
     finally:
         first.stop()
         second.stop()
+
+
+def test_bench_rotates_replicas_strictly_from_the_first(monkeypatch):
+    sent = []
+    stream_request = gateway._stream_request
+
+    def recording(endpoint, *args):
+        sent.append(endpoint)
+        return stream_request(endpoint, *args)
+
+    monkeypatch.setattr(gateway, "_stream_request", recording)
+    servers = [start_server(_FAST, port=0) for _ in range(3)]
+    try:
+        endpoints = tuple(server.url for server in servers)
+        report = bench(ReplicaSet(endpoints=endpoints), _bench_workload())
+    finally:
+        for server in servers:
+            server.stop()
+    assert report.summary["failure_count"] == 0
+    # One user, so requests go to a, b, c, a, b, ... in that order.
+    assert len(sent) >= 3
+    assert sent == [endpoints[i % 3] for i in range(len(sent))]
+    counts = [report.per_replica[endpoint] for endpoint in endpoints]
+    assert counts == [sent.count(endpoint) for endpoint in endpoints]
+
+
+def test_bench_rejects_an_empty_replica_set():
+    with pytest.raises(ValueError, match="at least one replica endpoint"):
+        bench(ReplicaSet(endpoints=()), _bench_workload())
 
 
 def test_bench_dead_endpoint_reports_failures():

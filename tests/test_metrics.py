@@ -17,7 +17,6 @@ from adapterd.metrics import (
     derive,
     merge,
     percentile,
-    records_csv_header,
     summarize,
     write_records_csv,
 )
@@ -177,18 +176,20 @@ def test_merge_empty_list_rejected():
         merge([])
 
 
+_CSV_HEADER = "request_id,adapter,input_tokens,output_tokens,submit_ms,first_token_ms,last_token_ms"
+
+
 def test_csv_header_exact():
-    assert records_csv_header() == (
-        "request_id,adapter,input_tokens,output_tokens,"
-        "submit_ms,first_token_ms,last_token_ms"
-    )
+    buffer = io.StringIO()
+    write_records_csv([], buffer)
+    assert buffer.getvalue() == _CSV_HEADER + "\n"
 
 
 def test_csv_round_trip_shape():
     buffer = io.StringIO()
     write_records_csv([_record()], buffer)
     lines = buffer.getvalue().strip().split("\n")
-    assert lines[0] == records_csv_header()
+    assert lines[0] == _CSV_HEADER
     assert lines[1].startswith("r1,base,100,5,")
     assert len(lines) == 2
 

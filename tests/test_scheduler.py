@@ -154,6 +154,9 @@ def test_drain_queued_reports_leftovers():
 
 
 _ADAPTERS = [BASE_ADAPTER] + [adapter_name(i) for i in range(3)]
+# At least 15 operations, so plans over several queued adapters, evictions
+# and drains after partial plans are reached in most examples; a shorter
+# sequence is a prefix of some longer one.
 _OPS = st.lists(
     st.one_of(
         st.tuples(st.just("enqueue"), st.sampled_from(_ADAPTERS)),
@@ -161,6 +164,7 @@ _OPS = st.lists(
         st.tuples(st.just("complete"), st.integers(0, 50)),
         st.tuples(st.just("drain")),
     ),
+    min_size=15,
     max_size=60,
 )
 

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from adapterd.core import (
     BASE_ADAPTER,
     Rng,
-    TaskTokenProfile,
     WorkloadConfig,
     adapter_name,
     rng_split,
@@ -74,40 +73,6 @@ def test_fixed_adapter_preserves_token_stream():
     pinned, _ = sample_payload(rng, workload, fixed_adapter="adapter-09")
     assert pinned.input_tokens == free.input_tokens
     assert pinned.output_tokens == free.output_tokens
-
-
-@given(st.integers(0, 2**64 - 1))
-def test_task_profile_ranges(seed):
-    # Token ranges modeled on a data-to-text generation task: inputs cluster
-    # in [92, 153] and outputs in [1, 1].
-    profile = TaskTokenProfile(
-        name="narrow", input_min=92, input_p95=153, output_min=1, output_p95=1
-    )
-    workload = _workload(task_profiles=(profile,))
-    rng = Rng(seed)
-    for _ in range(10):
-        payload, rng = sample_payload(rng, workload)
-        assert 92 <= payload.input_tokens <= 153
-        assert payload.output_tokens == 1
-
-
-@given(st.integers(0, 2**64 - 1))
-def test_multiple_task_profiles_all_reachable(seed):
-    profiles = (
-        TaskTokenProfile(name="short", input_min=5, input_p95=10, output_min=2, output_p95=4),
-        TaskTokenProfile(name="long", input_min=400, input_p95=450, output_min=90, output_p95=100),
-    )
-    workload = _workload(task_profiles=profiles)
-    rng = rng_split(Rng(seed), 0)
-    seen_short = seen_long = False
-    for _ in range(64):
-        payload, rng = sample_payload(rng, workload)
-        if payload.input_tokens <= 10:
-            seen_short = True
-        if payload.input_tokens >= 400:
-            seen_long = True
-        assert payload.input_tokens <= 10 or payload.input_tokens >= 400
-    assert seen_short and seen_long
 
 
 def test_idle_user_submits_before_deadline():
