@@ -188,7 +188,8 @@ def test_bench_two_replicas_round_robin_within_one():
         second.stop()
 
 
-def test_bench_rotates_replicas_strictly_from_the_first(monkeypatch):
+def _record_endpoints(monkeypatch):
+    """Wrap ``gateway._stream_request`` so each endpoint bench sends to is kept."""
     sent = []
     stream_request = gateway._stream_request
 
@@ -197,19 +198,50 @@ def test_bench_rotates_replicas_strictly_from_the_first(monkeypatch):
         return stream_request(endpoint, *args)
 
     monkeypatch.setattr(gateway, "_stream_request", recording)
-    servers = [start_server(_FAST, port=0) for _ in range(3)]
+    return sent
+
+
+def _bench_on_servers(count, workload):
+    servers = [start_server(_FAST, port=0) for _ in range(count)]
     try:
         endpoints = tuple(server.url for server in servers)
-        report = bench(ReplicaSet(endpoints=endpoints), _bench_workload())
+        return endpoints, bench(ReplicaSet(endpoints=endpoints), workload)
     finally:
         for server in servers:
             server.stop()
+
+
+def test_pick_replica_cycles_strictly(monkeypatch):
+    """bench picks replicas in strict rotation, starting from the first."""
+    sent = _record_endpoints(monkeypatch)
+    endpoints, report = _bench_on_servers(3, _bench_workload())
     assert report.summary["failure_count"] == 0
     # One user, so requests go to a, b, c, a, b, ... in that order.
     assert len(sent) >= 3
     assert sent == [endpoints[i % 3] for i in range(len(sent))]
     counts = [report.per_replica[endpoint] for endpoint in endpoints]
     assert counts == [sent.count(endpoint) for endpoint in endpoints]
+
+
+def test_pick_replica_singleton_and_exact_counts(monkeypatch, server):
+    """One replica takes every request; several split them exactly by rotation."""
+    sent = _record_endpoints(monkeypatch)
+    report = bench(ReplicaSet(endpoints=(server.url,)), _bench_workload())
+    assert report.summary["failure_count"] == 0
+    assert len(sent) >= 1
+    assert set(sent) == {server.url}
+    assert report.per_replica == {server.url: report.summary["completed"]}
+
+    # Two users share the rotation, so the order interleaves but the counts
+    # are still those of strict rotation from the first endpoint.
+    sent.clear()
+    endpoints, report = _bench_on_servers(3, _bench_workload(users=2))
+    assert report.summary["failure_count"] == 0
+    total = len(sent)
+    assert total >= 3
+    expected = [total // 3 + (1 if i < total % 3 else 0) for i in range(3)]
+    assert [sent.count(endpoint) for endpoint in endpoints] == expected
+    assert [report.per_replica[endpoint] for endpoint in endpoints] == expected
 
 
 def test_bench_rejects_an_empty_replica_set():
