@@ -15,14 +15,20 @@ promotes is fixed as well: the SHA-256 covers the report's summary,
 per-adapter counts, final tier occupancy and every record.  ``churn-scale``
 is the benchmark's ``adapter-churn`` configuration (2,000 adapters, 300
 users) at a seed of its own, so the admission sweep's fetch order is pinned
-at the scale where its queues are longest.
+at the scale where its queues are longest.  ``deadline-mid-fetch`` starts
+every fetch before the deadline and lands it after, so it pins that the
+cache keeps landing loads once admission has stopped.
+``zero-latency-prefill`` zeroes every hop and the prefill, so fetches land
+at the instant of the plan that starts them, together with prefill
+completions.
 
 ``PROFILE_GOLDEN`` pins ``adapterd profile <file> --output f.json`` on a
 seeded dataset whose pairs are long enough to span several 64-bit words,
 so a change to how ``rouge_l`` computes its LCS must leave every profile
 float exactly as it was.
 
-The 14 JSON hashes (``GOLDEN`` and ``EVICTION_GOLDEN``) were re-pinned when
+The 14 JSON hashes then pinned (``GOLDEN`` and the first five
+``EVICTION_GOLDEN`` cases) were re-pinned when
 ``WorkloadConfig.task_profiles`` was deleted, which drops
 ``"task_profiles": null`` from each report's config echo.  Before the
 deletion, a test checked that a ``sort_keys``/``indent=2`` re-dump of each
@@ -113,6 +119,19 @@ EVICTION_CASES = {
             input_tokens_max=500, output_tokens_min=1, output_tokens_max=120, seed=5,
         ),
     ),
+    "deadline-mid-fetch": (
+        EngineConfig(gpu_slots=4, cpu_slots=2),
+        WorkloadConfig(n_adapters=30, users=20, duration_ms=2100.0, seed=4),
+    ),
+    "zero-latency-prefill": (
+        EngineConfig(
+            gpu_slots=2, cpu_slots=1, prefill_base_ms=0.0, prefill_per_token_ms=0.0,
+            **_NO_HOP_LATENCY,
+        ),
+        WorkloadConfig(
+            n_adapters=10, users=6, duration_ms=300.0, output_tokens_max=4, seed=4
+        ),
+    ),
 }
 
 EVICTION_GOLDEN = {
@@ -121,6 +140,8 @@ EVICTION_GOLDEN = {
     "zero-latency-hops": "59904ea1fcc9a13cccefd2be71c1b12f16f1cbd064503d65c005b899c61c14b5",
     "per-user": "ff39d9aca138f3d0e9a6fe09be9dfadb29604674a9073665a233c34636bcd7e8",
     "churn-scale": "69d5f2c179a2a88183e89f9e37d02fbe69aa40b9b6265131279f069b2d7c8b6e",
+    "deadline-mid-fetch": "7d285ca3af636d2ae515299df960f665235f0677b0395b6cb2879a3cd81d9c8f",
+    "zero-latency-prefill": "712c050b2f09f5ecf2453f125d1b4416ccdd9a19f1fa01ed330323d70d58fdf6",
 }
 
 
