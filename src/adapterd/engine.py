@@ -12,21 +12,28 @@ request's first token additionally pays a small switch penalty when it brings
 a new non-base adapter into an already-streaming batch.
 
 Everything runs off a single event heap.  Events at the same instant are
-ordered by kind: adapter-fetch completions, then token emissions, then
-submissions, then prefill completions, then admission planning.  That order
-makes same-instant interactions deterministic: a sequence finishing at time t
-leaves the streaming set before another sequence's first token at t is
-priced, and all submissions landing at t are admitted by one planning pass.
+ordered by kind: token emissions, then submissions, then prefill completions,
+then admission planning.  Events of one kind at one instant run in the order
+they were pushed.  That order makes same-instant interactions deterministic:
+a sequence finishing at time t leaves the streaming set before another
+sequence's first token at t is priced, and all submissions landing at t are
+admitted by one planning pass.
 
-Admission planning runs whenever something changes (a submission, a finished
-request freeing a batch slot, an adapter fetch completing) and re-arms itself
-one decode step later while a backlog remains, so a saturated engine plans at
-its own cadence instead of busy-looping.
+Planning is the only place where the engine's clock reaches the adapter
+cache: a plan first lands every fetch due by its instant, then admits, then
+re-arms itself at the next fetch's ready time.  After the deadline plans still
+land fetches but admit nothing.  Planning also runs whenever a submission
+arrives or a finish frees a batch slot, and re-arms one decode step later
+while a backlog remains, so a saturated engine plans at its own cadence
+instead of busy-looping.  At most one plan is pending per instant; a second
+plan runs at the same instant only when the first started a zero-latency
+fetch, which is then due at once.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from heapq import heappop, heappush
 from typing import Callable, Sequence
 
@@ -52,11 +59,10 @@ __all__ = [
 ]
 
 # Same-instant event ordering (lower runs first).
-_PRIO_CACHE = 0
-_PRIO_TOKEN = 1
-_PRIO_SUBMIT = 2
-_PRIO_PREFILL = 3
-_PRIO_PLAN = 4
+_PRIO_TOKEN = 0
+_PRIO_SUBMIT = 1
+_PRIO_PREFILL = 2
+_PRIO_PLAN = 3
 
 
 def prefill_time(config: EngineConfig, input_tokens: int) -> float:
@@ -86,13 +92,12 @@ def single_request_timeline(
 class _Flight:
     """Mutable per-sequence decode state, carried as its prefill and token events' payload."""
 
-    __slots__ = ("request", "emitted", "first_ms", "streaming")
+    __slots__ = ("request", "emitted", "first_ms")
 
     def __init__(self, request: Request) -> None:
         self.request = request
         self.emitted = 0
         self.first_ms = 0.0
-        self.streaming = False
 
 
 class EngineCore:
@@ -116,7 +121,7 @@ class EngineCore:
         on_finish: Callable[[RequestRecord], None] | None = None,
     ) -> None:
         self._config = config
-        self._deadline = deadline
+        self._deadline = float("inf") if deadline is None else deadline
         self._on_token = on_token
         self._on_finish = on_finish
         self.cache = AdapterCache(config, adapters, prewarm=prewarm)
@@ -130,7 +135,6 @@ class EngineCore:
         self._gap = decode_gap(config, 0)
         self._streaming_adapters: dict[str, int] = {}
         self._plan_times: set[float] = set()
-        self._wake_times: set[float] = set()
         self._step = 0
 
     # -- event plumbing ----------------------------------------------------
@@ -166,20 +170,13 @@ class EngineCore:
             self._handle_prefill_done(payload, time_)
         elif prio == _PRIO_PLAN:
             self._handle_plan(time_)
-        elif prio == _PRIO_SUBMIT:
-            self._handle_submit(payload, time_)
         else:
-            self._handle_cache_ready(time_)
+            self._handle_submit(payload, time_)
 
     def _request_plan(self, at: float) -> None:
         if at not in self._plan_times:
             self._plan_times.add(at)
             self._push(at, _PRIO_PLAN)
-
-    def _request_wake(self, at: float) -> None:
-        if at not in self._wake_times:
-            self._wake_times.add(at)
-            self._push(at, _PRIO_CACHE)
 
     # -- handlers ------------------------------------------------------------
 
@@ -190,13 +187,11 @@ class EngineCore:
 
     def _handle_plan(self, now: float) -> None:
         self._plan_times.discard(now)
-        if self._deadline is not None and now >= self._deadline:
-            return
         self.cache.on_clock(now)
         config = self._config
         free = config.max_batch_size - self.scheduler.in_flight_count
         admitted = False
-        if free > 0 and self.scheduler.has_backlog():
+        if now < self._deadline and free > 0 and self.scheduler.has_backlog():
             self._step += 1
             plan = self.scheduler.plan_admission(
                 self.cache, now, free, config.admission_per_step, self._step
@@ -210,18 +205,9 @@ class EngineCore:
                 admitted = True
         next_ready = self.cache.next_ready_at()
         if next_ready is not None:
-            self._request_wake(next_ready)
+            self._request_plan(next_ready)
         if admitted and self.scheduler.has_backlog():
             self._request_plan(now + decode_gap(config, max(1, self._streaming_count)))
-
-    def _handle_cache_ready(self, now: float) -> None:
-        self._wake_times.discard(now)
-        self.cache.on_clock(now)
-        if self.scheduler.has_backlog():
-            self._request_plan(now)
-        next_ready = self.cache.next_ready_at()
-        if next_ready is not None:
-            self._request_wake(next_ready)
 
     def _handle_prefill_done(self, flight: _Flight, now: float) -> None:
         config = self._config
@@ -242,7 +228,6 @@ class EngineCore:
         if emitted == 1:
             flight.first_ms = now
             if request.max_new_tokens > 1:
-                flight.streaming = True
                 self._streaming_count += 1
                 self._gap = decode_gap(self._config, self._streaming_count)
                 counts = self._streaming_adapters
@@ -256,7 +241,7 @@ class EngineCore:
 
     def _finish(self, flight: _Flight, now: float) -> None:
         request = flight.request
-        if flight.streaming:
+        if request.max_new_tokens > 1:  # it joined the streaming set at its first token
             self._streaming_count -= 1
             self._gap = decode_gap(self._config, self._streaming_count)
             counts = self._streaming_adapters
@@ -281,18 +266,20 @@ class EngineCore:
 
     # -- reporting -----------------------------------------------------------
 
-    def build_summary(self, duration_ms: float, discarded: int) -> dict:
+    def report(self, config: dict, duration_ms: float, discarded: int) -> RunReport:
+        """The run so far over `duration_ms`, with `discarded` requests dropped unserved."""
         summary = summarize(self.records, duration_ms)
         summary["submitted"] = self.submitted
         summary["completed"] = len(self.records)
         summary["discarded"] = discarded
-        return summary
-
-    def per_adapter_counts(self) -> dict[str, int]:
-        counts: dict[str, int] = {}
-        for record in self.records:
-            counts[record.adapter] = counts.get(record.adapter, 0) + 1
-        return dict(sorted(counts.items()))
+        per_adapter = Counter(record.adapter for record in self.records)
+        return RunReport(
+            config=config,
+            summary=summary,
+            per_adapter=dict(sorted(per_adapter.items())),
+            cache=self.cache.residency_stats(),
+            records=tuple(self.records),
+        )
 
 
 def run(
@@ -347,10 +334,5 @@ def run(
     core._on_finish = None
     discarded = core.scheduler.drain_queued()
 
-    return RunReport(
-        config={"engine": engine_config.to_dict(), "workload": workload_config.to_dict()},
-        summary=core.build_summary(deadline, len(discarded)),
-        per_adapter=core.per_adapter_counts(),
-        cache=core.cache.residency_stats(),
-        records=tuple(core.records),
-    )
+    config = {"engine": engine_config.to_dict(), "workload": workload_config.to_dict()}
+    return core.report(config, deadline, len(discarded))

@@ -154,14 +154,8 @@ class LiveEngine:
     def report(self) -> RunReport:
         """Snapshot the run so far as a report over the elapsed wall time."""
         with self._cond:
-            summary = self._core.build_summary(self.now_ms(), 0)
-            return RunReport(
-                config={"engine": self._config.to_dict(), "workload": None},
-                summary=summary,
-                per_adapter=self._core.per_adapter_counts(),
-                cache=self._core.cache.residency_stats(),
-                records=tuple(self._core.records),
-            )
+            config = {"engine": self._config.to_dict(), "workload": None}
+            return self._core.report(config, self.now_ms(), 0)
 
     def stop(self) -> None:
         with self._cond:
@@ -240,16 +234,8 @@ def _request_violations(body: object) -> tuple[list[str], str, int, int, bool]:
     return violations, adapter, input_tokens, max_new_tokens, stream
 
 
-class _GatewayServer(ThreadingHTTPServer):
-    daemon_threads = True
-
-    def __init__(self, address: tuple[str, int], engine: LiveEngine) -> None:
-        super().__init__(address, _GatewayHandler)
-        self.engine = engine
-
-
 class _GatewayHandler(BaseHTTPRequestHandler):
-    server: _GatewayServer
+    server: LiveServer
     timeout = _READ_TIMEOUT_S
 
     def log_message(self, format: str, *args: object) -> None:  # noqa: A002
@@ -338,28 +324,30 @@ class _GatewayHandler(BaseHTTPRequestHandler):
             self.wfile.flush()
 
 
-class LiveServer:
-    """Handle for a running live server: address plus orderly shutdown."""
+class LiveServer(ThreadingHTTPServer):
+    """A running live server: its engine, its address and an orderly stop."""
 
-    def __init__(self, engine: LiveEngine, httpd: _GatewayServer) -> None:
+    daemon_threads = True
+
+    def __init__(self, address: tuple[str, int], engine: LiveEngine) -> None:
+        super().__init__(address, _GatewayHandler)
         self.engine = engine
-        self._httpd = httpd
         self._thread = threading.Thread(
-            target=httpd.serve_forever, name="adapterd-http", daemon=True
+            target=self.serve_forever, name="adapterd-http", daemon=True
         )
         self._thread.start()
 
     @property
     def port(self) -> int:
-        return self._httpd.server_address[1]
+        return self.server_address[1]
 
     @property
     def url(self) -> str:
         return f"http://127.0.0.1:{self.port}"
 
     def stop(self) -> None:
-        self._httpd.shutdown()
-        self._httpd.server_close()
+        self.shutdown()
+        self.server_close()
         self.engine.stop()
         self._thread.join(timeout=5.0)
 
@@ -394,11 +382,10 @@ def start_server(
     address = ("127.0.0.1", _resolve_port(port))
     engine = LiveEngine(engine_config, adapters, prewarm=prewarm)
     try:
-        httpd = _GatewayServer(address, engine)
+        return LiveServer(address, engine)
     except BaseException:
         engine.stop()
         raise
-    return LiveServer(engine, httpd)
 
 
 def serve(

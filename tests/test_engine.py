@@ -20,6 +20,8 @@ import gc
 import weakref
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import adapterd.engine as engine
 from adapterd.core import EngineConfig, Request, WorkloadConfig
@@ -30,6 +32,7 @@ from adapterd.engine import (
     run,
     single_request_timeline,
 )
+from adapterd.workload import user_tick
 
 TOL = 1e-9
 
@@ -271,3 +274,86 @@ def test_run_frees_its_engine_without_the_cycle_collector(monkeypatch):
     assert report.summary["completed"] > 0
     assert len(cores) == 1
     assert cores[0]() is None
+
+
+@st.composite
+def _small_runs(draw):
+    """A small engine and workload: cold or prewarmed, hops of 0, 22.05 or 2,205 ms."""
+    hop_scale = draw(st.sampled_from([0.0, 0.01, 1.0]))
+    engine_config = EngineConfig(
+        gpu_slots=draw(st.integers(1, 4)),
+        cpu_slots=draw(st.integers(0, 3)),
+        t_download_ms=2000.0 * hop_scale,
+        t_disk_to_cpu_ms=200.0 * hop_scale,
+        t_cpu_to_gpu_ms=5.0 * hop_scale,
+        max_batch_size=draw(st.integers(1, 8)),
+        admission_per_step=draw(st.integers(1, 4)),
+    )
+    n_adapters = draw(st.integers(0, 12))
+    per_user = n_adapters > 0 and draw(st.booleans())
+    workload_config = WorkloadConfig(
+        n_adapters=n_adapters,
+        users=draw(st.integers(1, 10)),
+        duration_ms=draw(st.one_of(st.sampled_from([0.0, 2205.0]), st.floats(0.0, 3000.0))),
+        output_tokens_max=draw(st.integers(1, 40)),
+        seed=draw(st.integers(0, 2**64 - 1)),
+        adapter_assignment="per_user" if per_user else "uniform",
+    )
+    return engine_config, workload_config, draw(st.booleans())
+
+
+@settings(max_examples=150, deadline=None)
+@given(_small_runs())
+def test_every_fetch_that_starts_also_lands(case):
+    # Plans keep landing fetches after the deadline, so none is left in transit
+    # however the deadline falls against the fetches and the streams.
+    engine_config, workload_config, prewarm = case
+    report = run(engine_config, workload_config, prewarm_adapters=prewarm)
+    assert report.cache["in_transit"] == 0
+    summary = report.summary
+    assert summary["submitted"] == summary["completed"] + summary["discarded"]
+
+
+@pytest.mark.parametrize(
+    ("engine_config", "workload_config"),
+    [
+        (
+            EngineConfig(gpu_slots=3, cpu_slots=2, max_batch_size=4),
+            WorkloadConfig(n_adapters=8, users=6, duration_ms=3000.0,
+                           output_tokens_max=40, seed=7),
+        ),
+        (
+            EngineConfig(gpu_slots=2, cpu_slots=0, t_download_ms=20.0, max_batch_size=3),
+            WorkloadConfig(n_adapters=5, users=5, duration_ms=1500.0, output_tokens_max=30,
+                           seed=8, adapter_assignment="per_user"),
+        ),
+    ],
+    ids=["uniform", "per-user"],
+)
+def test_closed_loop_users_tile_time(engine_config, workload_config, monkeypatch):
+    """Each user submits at 0, then at the very float its previous request ended."""
+    submits = []
+
+    def recording_tick(user, now, deadline, workload):
+        payload = user_tick(user, now, deadline, workload)
+        if payload is not None:
+            submits.append((user.user_id, now))
+        return payload
+
+    monkeypatch.setattr(engine, "user_tick", recording_tick)
+    report = run(engine_config, workload_config)
+    records = {record.request_id: record for record in report.records}
+    by_user: dict[int, list[tuple[str, float]]] = {}
+    for k, (user_id, now) in enumerate(submits, start=1):
+        by_user.setdefault(user_id, []).append((f"r{k:06d}", now))
+    assert sorted(by_user) == list(range(workload_config.users))
+    for requests in by_user.values():
+        assert requests[0][1] == 0.0
+        for (previous, _), (request_id, submit_ms) in zip(requests, requests[1:]):
+            assert submit_ms == records[previous].last_token_ms
+        for request_id, submit_ms in requests:
+            if request_id in records:
+                assert records[request_id].submit_ms == submit_ms
+    # Only a user's last request may be missing: it was queued at the deadline.
+    missing = [rid for requests in by_user.values() for rid, _ in requests if rid not in records]
+    assert len(missing) == report.summary["discarded"] > 0

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import socket
+import threading
 import time
 import urllib.error
 import urllib.request
@@ -320,3 +321,22 @@ def test_bad_content_length_answered_without_traceback(
             violations = json.loads(body)["violations"]
             assert violations and content_length in violations[0]
     assert capfd.readouterr().err == ""
+
+
+def _engine_threads():
+    return {t for t in threading.enumerate() if t.name == "adapterd-engine"}
+
+
+def test_start_server_stops_its_engine_when_the_port_is_taken():
+    server = start_server(_FAST, port=0)
+    try:
+        running = _engine_threads()
+        with pytest.raises(OSError):
+            start_server(_FAST, port=server.port)
+        assert _engine_threads() == running
+        assert server.url == f"http://127.0.0.1:{server.port}"
+        with urllib.request.urlopen(server.url + "/healthz", timeout=10.0) as response:
+            assert response.read() == b"ok"
+    finally:
+        server.stop()
+    assert not _engine_threads() & running
