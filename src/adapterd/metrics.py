@@ -118,8 +118,10 @@ def summarize(records: Sequence[RequestRecord], run_duration_ms: float) -> dict:
     if throughputs:
         summary["throughput_tok_s"] = _stat_block(throughputs)
     total_tokens = sum(record.output_tokens_emitted for record in records)
-    if run_duration_ms > 0:
-        summary["aggregate_throughput_tok_s"] = total_tokens / (run_duration_ms / 1000.0)
+    # A subnormal duration is > 0 in ms but 0 in seconds, so test the divisor.
+    seconds = run_duration_ms / 1000.0
+    if seconds > 0:
+        summary["aggregate_throughput_tok_s"] = total_tokens / seconds
     return summary
 
 

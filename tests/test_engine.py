@@ -20,7 +20,7 @@ import gc
 import weakref
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import adapterd.engine as engine
@@ -304,6 +304,12 @@ def _small_runs(draw):
 
 @settings(max_examples=150, deadline=None)
 @given(_small_runs())
+@example((  # a subnormal deadline: > 0 ms, but 0 s in the aggregate throughput
+    EngineConfig(gpu_slots=1, cpu_slots=0, t_download_ms=0.0, t_disk_to_cpu_ms=0.0,
+                 t_cpu_to_gpu_ms=0.0, max_batch_size=1, admission_per_step=1),
+    WorkloadConfig(n_adapters=0, users=1, duration_ms=5e-324, output_tokens_max=1, seed=0),
+    False,
+))
 def test_every_fetch_that_starts_also_lands(case):
     # Plans keep landing fetches after the deadline, so none is left in transit
     # however the deadline falls against the fetches and the streams.

@@ -139,6 +139,13 @@ def test_summarize_hand_built_ten_records():
     assert summary["aggregate_throughput_tok_s"] == pytest.approx(65.0 / 60.0)
 
 
+def test_summarize_subnormal_duration_omits_aggregate_throughput():
+    # 5e-324 ms is > 0 but rounds to 0 s, which once raised ZeroDivisionError.
+    summary = summarize([_record()], 5e-324)
+    assert "aggregate_throughput_tok_s" not in summary
+    assert summary["request_count"] == 1
+
+
 def test_summarize_all_single_token_omits_throughput():
     records = [_record(rid=f"r{i}", out=1, first=90.0, last=90.0) for i in range(3)]
     summary = summarize(records, 1000.0)
