@@ -258,6 +258,87 @@ def test_lift_name_mismatch_exits_2(tmp_path, capsys):
     assert "task names differ" in capsys.readouterr().err
 
 
+def _drop_columns(*names):
+    def edit(rows):
+        keep = [i for i, column in enumerate(rows[0]) if column not in names]
+        return [[row[i] for i in keep] for row in rows]
+
+    return edit
+
+
+def _set_cell(line, column, value):
+    def edit(rows):
+        rows[line - 1][rows[0].index(column)] = value
+        return rows
+
+    return edit
+
+
+def _cut_row(line, cells):
+    def edit(rows):
+        rows[line - 1] = rows[line - 1][:cells]
+        return rows
+
+    return edit
+
+
+@pytest.mark.parametrize(
+    ("fixture", "edit", "message"),
+    [
+        ("task_profiles.csv", _drop_columns("io_rougeL_std"), "1: missing columns: io_rougeL_std"),
+        (
+            "task_profiles.csv",
+            _drop_columns("n_examples", "compressibility_mean"),
+            "1: missing columns: compressibility_mean, n_examples",
+        ),
+        ("quality_records.csv", _drop_columns("gpt4_score"), "1: missing columns: gpt4_score"),
+        (
+            "quality_records.csv",
+            lambda rows: [],
+            "1: missing columns: avg_base_lift, avg_base_score, avg_ft_score, best_base_score, "
+            "best_ft_score, gpt4_score, max_gpt4_lift, name",
+        ),
+        (
+            "task_profiles.csv",
+            _set_cell(3, "input_len_std", "abc"),
+            "3: field 'input_len_std' is not a number: 'abc'",
+        ),
+        (
+            "task_profiles.csv",
+            _set_cell(2, "n_examples", "x1"),
+            "2: field 'n_examples' is not a number: 'x1'",
+        ),
+        (
+            "quality_records.csv",
+            _set_cell(2, "avg_ft_score", "abc"),
+            "2: field 'avg_ft_score' is not a number: 'abc'",
+        ),
+        (
+            "task_profiles.csv",
+            _cut_row(4, 10),
+            "4: field 'example_len_p95' is not a number: None",
+        ),
+        (
+            "quality_records.csv",
+            _cut_row(2, 3),
+            "2: field 'avg_base_lift' is not a number: None",
+        ),
+    ],
+)
+def test_lift_csv_errors_exit_2_with_one_line(tmp_path, capfd, fixture, edit, message):
+    lines = bundled_fixture_path(fixture).read_text(encoding="utf-8").splitlines()
+    rows = edit([line.split(",") for line in lines])
+    path = tmp_path / fixture
+    path.write_text("".join(",".join(row) + "\n" for row in rows), encoding="utf-8")
+    args = _lift_args("gpt4_score")
+    flag = "--profiles" if fixture == "task_profiles.csv" else "--quality"
+    args[args.index(flag) + 1] = str(path)
+    assert main(args) == 2
+    captured = capfd.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [f"error: {path}:{message}"]
+
+
 _FAST = EngineConfig(
     prefill_base_ms=1.0,
     prefill_per_token_ms=0.0,

@@ -27,6 +27,11 @@ seeded dataset whose pairs are long enough to span several 64-bit words,
 so a change to how ``rouge_l`` computes its LCS must leave every profile
 float exactly as it was.
 
+``LIFT_GOLDEN`` pins ``adapterd lift`` on the bundled task-profile and
+quality fixtures, for every target in both modes: the SHA-256 of the
+``--output`` JSON and of stdout.  It fixes how the CSV readers map columns
+onto the feature vector, as well as the fits themselves.
+
 The 14 JSON hashes then pinned (``GOLDEN`` and the first five
 ``EVICTION_GOLDEN`` cases) were re-pinned when
 ``WorkloadConfig.task_profiles`` was deleted, which drops
@@ -49,6 +54,7 @@ import pytest
 from adapterd.cli import main
 from adapterd.core import EngineConfig, WorkloadConfig
 from adapterd.engine import run
+from adapterd.profiler import bundled_fixture_path
 
 GOLDEN = {
     ("fairness", None): "03bc3ce895935760b6056257b15e538a02637fdfddc01ee42150d196912bebcf",
@@ -191,3 +197,84 @@ def test_profile_output_hash_is_pinned(tmp_path, capsys):
     assert main(["profile", str(dataset), "--output", str(output)]) == 0
     capsys.readouterr()
     assert hashlib.sha256(output.read_bytes()).hexdigest() == PROFILE_GOLDEN
+
+
+# (target, mode) -> (SHA-256 of the --output JSON, SHA-256 of stdout)
+LIFT_GOLDEN = {
+    ("gpt4_score", "insample"): (
+        "d0d7e9a4280bbe77710e4475e81d8b77c6bb149bbb88c071bd05aad42a25764e",
+        "e99999c85080cd66d11e91500d16f02e1942ea274523fe496c0098bc806b1180",
+    ),
+    ("gpt4_score", "loo"): (
+        "a3b0f8dd8dd9f3d05adea79ff23cd22b731f7242771ea605aa7b4ea05680a860",
+        "63f28806037a1bb823bde23d6ff9a3fa09c34a73902d592938de3fded5a3f42b",
+    ),
+    ("max_gpt4_lift", "insample"): (
+        "e997e2cee6ad07f81cc59cd88da2665a147641b81a9a2da705087cf6a2343725",
+        "bcbaed9e0c45dc1460488e09c76a0bc6508a521942e5fd0a2fedb829fa980acf",
+    ),
+    ("max_gpt4_lift", "loo"): (
+        "209904ce6b84e2bedc7cdc4dbb5973fe3011f84a17929af43678bf749fdefc80",
+        "2f3bf9b3d40573e6038abae6a0951eb6fb7fca72a6830de2713dacbe06290a14",
+    ),
+    ("avg_base_lift", "insample"): (
+        "5e6cc18c4c72f77e56e7f132c6aabd974417b2531eeb14752967d68c576b0b95",
+        "3a0ca6a03e563ad0c80159528fb7ef38c1003db79a8a26ab110a10c37f34bfce",
+    ),
+    ("avg_base_lift", "loo"): (
+        "04cbf7292a1c8c7bb99796b89902c174dada47dd1fd8fdd07e275057043d35c0",
+        "057e981e09d29601a61f1de8773a9a71a19e52d6ce26c2844d6a1b5b0d916528",
+    ),
+    ("best_base_score", "insample"): (
+        "58ab83878a47ca1ac678d48cf4d388d1f04f17dc34fb02d18a1530e93e06176f",
+        "755672900da227585586248e2e8ebcbf8f61dd08217e12d6546f918d30b10556",
+    ),
+    ("best_base_score", "loo"): (
+        "715d1f1c23dcc18176f836e64fcb92ef0a26deed6a9213d71fdd9f01ce815dba",
+        "60e6ff3678898986dfcd8fffa4cb4e17ac005f03a0f222fec775a1c75ab357cc",
+    ),
+    ("avg_base_score", "insample"): (
+        "ab532d5e9f7b4aebd5ba6e81e1887de74e8fb788cf373b47d1e59af59a729e8e",
+        "788b6d443a5ba44cf933084ec88e0f466604827b7fae3f53fac58ec4912d3365",
+    ),
+    ("avg_base_score", "loo"): (
+        "1655abff13b91b57e1c9248a7af20577ae7897f9219f415a2947a7f7c9f0ba7f",
+        "01fa85d571b11355ce01fb65ce29a446fd2fcf7b77f8c192e866ac3ecaa758fc",
+    ),
+    ("best_ft_score", "insample"): (
+        "6ebfe1743f9d069b5b0030d60db8cebb8f6a1320dcf9a700ef23c225a45a86d6",
+        "7f0a54406f9a4462b674f88beabe136b9339683ec13f5a810c9826c2a6beff82",
+    ),
+    ("best_ft_score", "loo"): (
+        "40f8a4b78e866385a1a4dae0288fe3a61939820012babedb2e87553a9b07f673",
+        "e7481c5ba5f5f578455677da5b578a0c2237ecfc286b9a53dfd701f2a1423187",
+    ),
+    ("avg_ft_score", "insample"): (
+        "bd006bf26363b450e02d3fe6aae310d44eb1c717387aac0cb3db149503bbfa87",
+        "f73489a77c975d318b2e2fcd5fac32a4bd721c8c5b12c0368ea4c66037bdcc90",
+    ),
+    ("avg_ft_score", "loo"): (
+        "d28df9b3ba9fc282dc495d6466e33736e941f38562ec544c9cb0a5e00b32abb0",
+        "ffe0ccbd7b84535d47243049a5ef42fc688d0751fbb47172a182c673c80c4c52",
+    ),
+}
+
+
+@pytest.mark.parametrize(("target", "mode"), sorted(LIFT_GOLDEN))
+def test_lift_output_hash_is_pinned(target, mode, tmp_path, capsys):
+    output = tmp_path / "lift.json"
+    argv = [
+        "lift",
+        "--profiles", str(bundled_fixture_path("task_profiles.csv")),
+        "--quality", str(bundled_fixture_path("quality_records.csv")),
+        "--target", target,
+        "--mode", mode,
+        "--output", str(output),
+    ]
+    assert main(argv) == 0
+    stdout = capsys.readouterr().out
+    hashes = (
+        hashlib.sha256(output.read_bytes()).hexdigest(),
+        hashlib.sha256(stdout.encode("utf-8")).hexdigest(),
+    )
+    assert hashes == LIFT_GOLDEN[(target, mode)]
