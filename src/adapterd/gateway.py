@@ -271,13 +271,15 @@ class _GatewayHandler(BaseHTTPRequestHandler):
             violation = f"Content-Length must be an integer >= 0, got {raw_length!r}"
             self._send_json(400, {"violations": [violation]})
             return
-        length = int(raw_length)
+        digits = raw_length.lstrip("0") or "0"
+        # int() refuses 4,301 digits or more; more digits than the limit has is over it.
+        length = int(digits) if len(digits) <= len(str(_MAX_BODY_BYTES)) else _MAX_BODY_BYTES + 1
         if length > _MAX_BODY_BYTES:
             self._send_json(413, {"error": f"body exceeds {_MAX_BODY_BYTES} bytes"})
             return
         try:
             body = json.loads(self.rfile.read(length) or b"null")
-        except json.JSONDecodeError as error:
+        except (ValueError, RecursionError) as error:  # also not UTF-8, or nested too deep
             self._send_json(400, {"violations": [f"body is not valid JSON: {error}"]})
             return
         violations, adapter, input_tokens, max_new_tokens, stream = _request_violations(body)

@@ -301,8 +301,17 @@ def _raw_post(port, content_length, body=b"", timeout=5.0):
 @pytest.mark.parametrize(
     ("content_length", "status"),
     # status None: the body is 2 bytes short of 10, so the read stalls until the
-    # handler's socket timeout closes the connection without a reply.
-    [("abc", 400), ("-1", 400), (str(_MAX_BODY_BYTES + 1), 413), ("10", None)],
+    # handler's socket timeout closes the connection without a reply.  Leading
+    # zeros do not count, and a length of more digits than int() parses is over
+    # the limit.
+    [
+        ("abc", 400),
+        ("-1", 400),
+        (str(_MAX_BODY_BYTES + 1), 413),
+        ("10", None),
+        pytest.param("0" * 5000 + "10", None, id="leading-zeros-None"),
+        pytest.param("9" * 5000, 413, id="5000-digits-413"),
+    ],
 )
 def test_bad_content_length_answered_without_traceback(
     server, capfd, monkeypatch, content_length, status
@@ -320,6 +329,20 @@ def test_bad_content_length_answered_without_traceback(
         if status == 400:
             violations = json.loads(body)["violations"]
             assert violations and content_length in violations[0]
+    assert capfd.readouterr().err == ""
+
+
+@pytest.mark.parametrize(
+    "body",
+    # Nesting deeper than the decoder recurses, and bytes that are not UTF-8.
+    [b"[" * 200_000, b"\xff\xff\xff"],
+    ids=["deep-nesting", "not-utf8"],
+)
+def test_bad_body_answered_without_traceback(server, capfd, body):
+    head, _, reply = _raw_post(server.port, len(body), body).partition(b"\r\n\r\n")
+    assert head.split()[1] == b"400"
+    [violation] = json.loads(reply)["violations"]
+    assert violation.startswith("body is not valid JSON: ")
     assert capfd.readouterr().err == ""
 
 
