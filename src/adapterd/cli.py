@@ -13,7 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 from importlib import resources
 from pathlib import Path
 
@@ -24,7 +24,6 @@ from .core import (
     WorkloadConfig,
     adapter_name,
     config_violations,
-    load_scenario,
     scenario_from_dict,
 )
 from .engine import run
@@ -40,7 +39,6 @@ from .profiler import (
     load_task_profiles,
     loo_rmse,
     profile_features,
-    profile_to_json_dict,
 )
 
 __all__ = ["main"]
@@ -80,14 +78,15 @@ def _bundled_scenario_names() -> list[str]:
 
 
 def _resolve_scenario(token: str) -> Scenario:
-    path = Path(token)
-    if path.exists():
-        return load_scenario(path)
-    bundled = resources.files("adapterd").joinpath("scenarios", f"{token}.json")
-    if bundled.is_file():
-        return scenario_from_dict(json.loads(bundled.read_text(encoding="utf-8")))
-    names = ", ".join(_bundled_scenario_names())
-    raise ValueError(f"no scenario file or bundled scenario named {token!r} (bundled: {names})")
+    source = Path(token)
+    if not source.exists():
+        source = resources.files("adapterd").joinpath("scenarios", f"{token}.json")
+        if not source.is_file():
+            names = ", ".join(_bundled_scenario_names())
+            raise ValueError(
+                f"no scenario file or bundled scenario named {token!r} (bundled: {names})"
+            )
+    return scenario_from_dict(json.loads(source.read_text(encoding="utf-8")))
 
 
 def _write_output(report: RunReport, output: Path, format_: str, include_records: bool) -> None:
@@ -195,7 +194,7 @@ def cmd_profile(args: argparse.Namespace) -> int:
     examples = load_examples_jsonl(args.dataset)
     name = args.name or Path(args.dataset).stem
     profile = compute_profile(examples, name)
-    text = json.dumps(profile_to_json_dict(profile), indent=2, sort_keys=True) + "\n"
+    text = json.dumps(asdict(profile), indent=2, sort_keys=True) + "\n"
     if args.output is not None:
         args.output.write_text(text, encoding="utf-8")
     else:

@@ -9,10 +9,8 @@ of its configuration.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, fields
-from pathlib import Path
 from typing import Any, NamedTuple
 
 VirtualTime = float
@@ -207,30 +205,19 @@ class Scenario:
     prewarm_adapters: bool = False
 
 
-def _dataclass_from_dict(cls: type, raw: dict[str, Any], where: str) -> Any:
-    known = {f.name for f in fields(cls)}
-    unknown = sorted(set(raw) - known)
+def _known_fields(cls: type, raw: dict[str, Any], where: str) -> dict[str, Any]:
+    """``raw`` itself, once every key in it is checked to name a field of ``cls``."""
+    unknown = sorted(set(raw) - {f.name for f in fields(cls)})
     if unknown:
         raise ValueError(f"{where}: unknown fields {unknown}")
-    return cls(**raw)
-
-
-def engine_config_from_dict(raw: dict[str, Any]) -> EngineConfig:
-    return _dataclass_from_dict(EngineConfig, raw, "engine")
-
-
-def workload_config_from_dict(raw: dict[str, Any]) -> WorkloadConfig:
-    return _dataclass_from_dict(WorkloadConfig, raw, "workload")
+    return raw
 
 
 def scenario_from_dict(raw: dict[str, Any]) -> Scenario:
     """Build a Scenario from one JSON document with "engine" and "workload" objects."""
-    known = {"name", "engine", "workload", "replicas", "prewarm_adapters"}
-    unknown = sorted(set(raw) - known)
-    if unknown:
-        raise ValueError(f"scenario: unknown fields {unknown}")
-    engine = engine_config_from_dict(raw.get("engine", {}))
-    workload = workload_config_from_dict(raw.get("workload", {}))
+    _known_fields(Scenario, raw, "scenario")
+    engine = EngineConfig(**_known_fields(EngineConfig, raw.get("engine", {}), "engine"))
+    workload = WorkloadConfig(**_known_fields(WorkloadConfig, raw.get("workload", {}), "workload"))
     replicas = int(raw.get("replicas", 1))
     if replicas < 1:
         raise ValueError(f"scenario.replicas: must be >= 1 (got {replicas})")
@@ -241,8 +228,3 @@ def scenario_from_dict(raw: dict[str, Any]) -> Scenario:
         replicas=replicas,
         prewarm_adapters=bool(raw.get("prewarm_adapters", False)),
     )
-
-
-def load_scenario(path: str | Path) -> Scenario:
-    with open(path, "r", encoding="utf-8") as handle:
-        return scenario_from_dict(json.load(handle))

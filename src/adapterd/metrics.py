@@ -27,17 +27,6 @@ __all__ = [
     "write_records_csv",
 ]
 
-_CSV_FIELDS = (
-    "request_id",
-    "adapter",
-    "input_tokens",
-    "output_tokens",
-    "submit_ms",
-    "first_token_ms",
-    "last_token_ms",
-)
-
-
 class MergeError(ValueError):
     """Raised when reports cannot be combined into one."""
 
@@ -52,6 +41,13 @@ class RequestRecord(NamedTuple):
     submit_ms: float
     first_token_ms: float
     last_token_ms: float
+
+
+# The record's fields are its CSV columns and JSON keys, in order, under one rename.
+_CSV_FIELDS = tuple(
+    "output_tokens" if name == "output_tokens_emitted" else name
+    for name in RequestRecord._fields
+)
 
 
 class DerivedMetrics(NamedTuple):
@@ -146,40 +142,17 @@ class RunReport:
         if self.per_replica is not None:
             payload["per_replica"] = self.per_replica
         if include_records:
-            payload["records"] = [_record_row(r) for r in self.records or ()]
+            payload["records"] = [dict(zip(_CSV_FIELDS, r)) for r in self.records or ()]
         return payload
 
     def to_json_str(self, include_records: bool = False) -> str:
         return json.dumps(self.to_json_dict(include_records), sort_keys=True, indent=2) + "\n"
 
 
-def _record_row(record: RequestRecord) -> dict:
-    return {
-        "request_id": record.request_id,
-        "adapter": record.adapter,
-        "input_tokens": record.input_tokens,
-        "output_tokens": record.output_tokens_emitted,
-        "submit_ms": record.submit_ms,
-        "first_token_ms": record.first_token_ms,
-        "last_token_ms": record.last_token_ms,
-    }
-
-
 def write_records_csv(records: Iterable[RequestRecord], stream: IO[str]) -> None:
     writer = csv.writer(stream, lineterminator="\n")
     writer.writerow(_CSV_FIELDS)
-    for record in records:
-        writer.writerow(
-            (
-                record.request_id,
-                record.adapter,
-                record.input_tokens,
-                record.output_tokens_emitted,
-                repr(record.submit_ms),
-                repr(record.first_token_ms),
-                repr(record.last_token_ms),
-            )
-        )
+    writer.writerows(records)  # csv writes each float by its repr
 
 
 _SUMMED_SUMMARY_KEYS = ("submitted", "completed", "discarded", "failure_count")

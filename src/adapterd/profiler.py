@@ -17,10 +17,11 @@ import csv
 import gzip
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass, fields, is_dataclass
 from importlib import resources
+from itertools import chain, islice
 from pathlib import Path
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, Sequence, get_type_hints
 
 from .metrics import percentile
 
@@ -50,7 +51,6 @@ __all__ = [
     "pearson",
     "predict",
     "profile_features",
-    "profile_to_json_dict",
     "rmse",
     "rouge_l",
 ]
@@ -159,32 +159,23 @@ class QualityRecord:
     avg_ft_score: float
 
 
-QUALITY_METRICS = (
-    "gpt4_score",
-    "max_gpt4_lift",
-    "avg_base_lift",
-    "best_base_score",
-    "avg_base_score",
-    "best_ft_score",
-    "avg_ft_score",
-)
+def _csv_layout(record_type: type) -> tuple[tuple[type, tuple[str, ...]], ...]:
+    """(type, CSV columns) of each field of ``record_type`` after ``name``.
 
-PROFILE_FEATURES = (
-    "n_examples",
-    "input_len_mean",
-    "input_len_std",
-    "input_len_p95",
-    "output_len_mean",
-    "output_len_std",
-    "output_len_p95",
-    "example_len_mean",
-    "example_len_std",
-    "example_len_p95",
-    "io_rougeL_mean",
-    "io_rougeL_std",
-    "compressibility_mean",
-    "compressibility_std",
-)
+    A field is one column, except that a stats group such as
+    ``input_len: LenStats`` spans one ``<field>_<stat>`` column per stat.
+    """
+    return tuple(
+        (kind, tuple(f"{name}_{f.name}" for f in fields(kind)) if is_dataclass(kind) else (name,))
+        for name, kind in list(get_type_hints(record_type).items())[1:]
+    )
+
+
+# Computed once, so the loaders do not walk the types on every row.
+_PROFILE_LAYOUT = _csv_layout(TaskProfile)
+_QUALITY_LAYOUT = _csv_layout(QualityRecord)
+PROFILE_FEATURES = tuple(chain.from_iterable(columns for _, columns in _PROFILE_LAYOUT))
+QUALITY_METRICS = tuple(chain.from_iterable(columns for _, columns in _QUALITY_LAYOUT))
 
 
 def _pop_std(values: Sequence[float], mean: float) -> float:
@@ -223,34 +214,8 @@ def compute_profile(examples: Sequence[tuple[str, str]], name: str) -> TaskProfi
 
 def profile_features(profile: TaskProfile) -> list[float]:
     """The profile as an ordered feature vector matching PROFILE_FEATURES."""
-    return [
-        float(profile.n_examples),
-        profile.input_len.mean,
-        profile.input_len.std,
-        profile.input_len.p95,
-        profile.output_len.mean,
-        profile.output_len.std,
-        profile.output_len.p95,
-        profile.example_len.mean,
-        profile.example_len.std,
-        profile.example_len.p95,
-        profile.io_rougeL.mean,
-        profile.io_rougeL.std,
-        profile.compressibility.mean,
-        profile.compressibility.std,
-    ]
-
-
-def profile_to_json_dict(profile: TaskProfile) -> dict:
-    return {
-        "name": profile.name,
-        "n_examples": profile.n_examples,
-        "input_len": vars(profile.input_len).copy(),
-        "output_len": vars(profile.output_len).copy(),
-        "example_len": vars(profile.example_len).copy(),
-        "io_rougeL": vars(profile.io_rougeL).copy(),
-        "compressibility": vars(profile.compressibility).copy(),
-    }
+    n_examples, *groups = astuple(profile)[1:]
+    return [float(n_examples), *chain.from_iterable(groups)]
 
 
 # ---------------------------------------------------------------------------
@@ -478,65 +443,36 @@ def load_examples_jsonl(path: str | Path) -> list[tuple[str, str]]:
     return examples
 
 
-def _parse_float(path, line_no: int, field: str, raw: str) -> float:
-    try:
-        return float(raw)
-    except (TypeError, ValueError):
-        raise ValueError(f"{path}:{line_no}: field '{field}' is not a number: {raw!r}")
-
-
-def load_task_profiles(path: str | Path) -> list[TaskProfile]:
-    """Read task profiles from CSV with flattened stat-field headers."""
-    profiles = []
-    with open(path, newline="", encoding="utf-8") as handle:
-        reader = csv.DictReader(handle)
-        required = {"name", *PROFILE_FEATURES}
-        if reader.fieldnames is None or not required.issubset(reader.fieldnames):
-            missing = sorted(required - set(reader.fieldnames or ()))
-            raise ValueError(f"{path}:1: missing columns: {', '.join(missing)}")
-        for line_no, row in enumerate(reader, start=2):
-            get = lambda field: _parse_float(path, line_no, field, row[field])
-            profiles.append(
-                TaskProfile(
-                    name=row["name"],
-                    n_examples=int(get("n_examples")),
-                    input_len=LenStats(
-                        get("input_len_mean"), get("input_len_std"), get("input_len_p95")
-                    ),
-                    output_len=LenStats(
-                        get("output_len_mean"), get("output_len_std"), get("output_len_p95")
-                    ),
-                    example_len=LenStats(
-                        get("example_len_mean"),
-                        get("example_len_std"),
-                        get("example_len_p95"),
-                    ),
-                    io_rougeL=MeanStd(get("io_rougeL_mean"), get("io_rougeL_std")),
-                    compressibility=MeanStd(
-                        get("compressibility_mean"), get("compressibility_std")
-                    ),
-                )
-            )
-    return profiles
-
-
-def load_quality_records(path: str | Path) -> list[QualityRecord]:
-    """Read per-task quality metrics from CSV."""
+def _load_csv(path: str | Path, record_type: type, layout: tuple) -> list:
+    """One ``record_type`` per row of a CSV holding ``name`` and the layout's columns."""
+    columns = [column for _, group in layout for column in group]
     records = []
     with open(path, newline="", encoding="utf-8") as handle:
         reader = csv.DictReader(handle)
-        required = {"name", *QUALITY_METRICS}
+        required = {"name", *columns}
         if reader.fieldnames is None or not required.issubset(reader.fieldnames):
             missing = sorted(required - set(reader.fieldnames or ()))
             raise ValueError(f"{path}:1: missing columns: {', '.join(missing)}")
         for line_no, row in enumerate(reader, start=2):
-            records.append(
-                QualityRecord(
-                    name=row["name"],
-                    **{
-                        metric: _parse_float(path, line_no, metric, row[metric])
-                        for metric in QUALITY_METRICS
-                    },
-                )
-            )
+            values = []
+            for column in columns:
+                try:
+                    values.append(float(row[column]))
+                except (TypeError, ValueError):
+                    raise ValueError(
+                        f"{path}:{line_no}: field '{column}' is not a number: {row[column]!r}"
+                    ) from None
+            stream = iter(values)
+            parts = [kind(*islice(stream, len(group))) for kind, group in layout]
+            records.append(record_type(row["name"], *parts))
     return records
+
+
+def load_task_profiles(path: str | Path) -> list[TaskProfile]:
+    """Read task profiles from CSV: ``name`` plus one column per PROFILE_FEATURES entry."""
+    return _load_csv(path, TaskProfile, _PROFILE_LAYOUT)
+
+
+def load_quality_records(path: str | Path) -> list[QualityRecord]:
+    """Read per-task quality metrics from CSV: ``name`` plus one column per metric."""
+    return _load_csv(path, QualityRecord, _QUALITY_LAYOUT)

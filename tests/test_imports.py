@@ -1,4 +1,5 @@
-"""Start-up cost: each `adapterd` command imports only the layers it runs.
+"""Imports: each `adapterd` command imports only the layers it runs, and
+every name a module of `src/adapterd` imports is used.
 
 numpy (used only by the lift fits) and the HTTP stack (used only by `serve`
 and `bench`) dominate the cost of importing the CLI.  Each case runs in a
@@ -8,6 +9,7 @@ everything, and reports which of those modules the command left loaded.
 
 from __future__ import annotations
 
+import ast
 import json
 import os
 import subprocess
@@ -72,3 +74,38 @@ def test_lift_loads_numpy_and_matches_in_process(capsys):
     assert "numpy" in loaded
     assert main(argv) == 0
     assert out == capsys.readouterr().out
+
+
+def _unused_imports(source: str) -> list[str]:
+    """Names the module imports but never reads and does not list in ``__all__``."""
+    tree = ast.parse(source)
+    imported = []
+    exported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported += [alias.asname or alias.name.split(".")[0] for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported += [alias.asname or alias.name for alias in node.names]
+        elif isinstance(node, ast.Assign) and any(
+            isinstance(target, ast.Name) and target.id == "__all__" for target in node.targets
+        ):
+            exported |= set(ast.literal_eval(node.value))
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [name for name in imported if name not in used | exported]
+
+
+@pytest.mark.parametrize(
+    "module", sorted(p.name for p in (SRC / "adapterd").glob("*.py"))
+)
+def test_every_imported_name_is_used(module):
+    source = (SRC / "adapterd" / module).read_text(encoding="utf-8")
+    assert _unused_imports(source) == []
+
+
+def test_unused_import_check_sees_plain_from_and_exported_names():
+    source = (
+        "from __future__ import annotations\n"
+        "import os.path\nimport json as j\nfrom x import a, b as c\nfrom y import d\n"
+        "__all__ = ['d']\nprint(c)\n"
+    )
+    assert _unused_imports(source) == ["os", "j", "a"]

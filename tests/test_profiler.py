@@ -357,6 +357,24 @@ def test_fixture_loads_31_tasks_with_identities():
         assert p.input_len.std >= 0 and p.output_len.std >= 0
 
 
+def test_profile_csv_round_trips_through_the_feature_vector(tmp_path):
+    """Writing profile_features under PROFILE_FEATURES and reading it back gives
+    the profiles again, so the reader and the feature vector agree column by column."""
+    profiles = load_task_profiles(bundled_fixture_path("task_profiles.csv"))
+    profiles.append(compute_profile([("a b c a", "b a"), ("x y", "y y z w")], "computed"))
+    # Columns reversed, so a reader that went by position would fail.
+    header = ["name", *PROFILE_FEATURES][::-1]
+    lines = [",".join(header)]
+    for profile in profiles:
+        row = [profile.name, *map(repr, profile_features(profile))]
+        lines.append(",".join(row[::-1]))
+    path = tmp_path / "profiles.csv"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    loaded = load_task_profiles(path)
+    assert loaded == profiles
+    assert all(type(p.n_examples) is int for p in loaded)
+
+
 def test_correlation_report_two_tasks_all_extreme():
     profiles = load_task_profiles(bundled_fixture_path("task_profiles.csv"))[:2]
     quality = load_quality_records(bundled_fixture_path("quality_records.csv"))[:2]
