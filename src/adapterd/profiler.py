@@ -19,7 +19,7 @@ import json
 import math
 from dataclasses import astuple, dataclass, fields, is_dataclass
 from importlib import resources
-from itertools import chain, islice
+from itertools import chain
 from pathlib import Path
 from typing import TYPE_CHECKING, Sequence, get_type_hints
 
@@ -445,7 +445,11 @@ def load_examples_jsonl(path: str | Path) -> list[tuple[str, str]]:
 
 def _load_csv(path: str | Path, record_type: type, layout: tuple) -> list:
     """One ``record_type`` per row of a CSV holding ``name`` and the layout's columns."""
-    columns = [column for _, group in layout for column in group]
+    columns: list[str] = []
+    spans = []  # (type, first column, end column) of each field, into a row's values
+    for kind, group in layout:
+        spans.append((kind, len(columns), len(columns) + len(group)))
+        columns += group
     records = []
     with open(path, newline="", encoding="utf-8") as handle:
         reader = csv.DictReader(handle)
@@ -462,8 +466,7 @@ def _load_csv(path: str | Path, record_type: type, layout: tuple) -> list:
                     raise ValueError(
                         f"{path}:{line_no}: field '{column}' is not a number: {row[column]!r}"
                     ) from None
-            stream = iter(values)
-            parts = [kind(*islice(stream, len(group))) for kind, group in layout]
+            parts = [kind(*values[start:end]) for kind, start, end in spans]
             records.append(record_type(row["name"], *parts))
     return records
 
