@@ -193,3 +193,32 @@ def test_oversubscribed_run_passes_the_churn_oracles(monkeypatch):
     failures = oracles.check_virtual_report(report, engine_dict, workload_config.n_adapters)
     failures += oracles.check_cold_fetch(report.records, engine_dict)
     assert failures == []
+
+
+def test_layers_trace_the_live_path_of_one_bench(monkeypatch):
+    """``bench`` and the live dispatcher call every name the ``live-stream`` metrics wrap."""
+    monkeypatch.syspath_prepend(str(BENCHMARKS))
+    import layers
+    from tracer import Tracer
+
+    from adapterd.gateway import ReplicaSet, bench, start_server
+
+    fast = EngineConfig(prefill_base_ms=1.0, prefill_per_token_ms=0.0, decode_base_ms=2.0,
+                        decode_per_seq_ms=0.0)
+    server = start_server(fast, port=0)
+    workload_config = WorkloadConfig(users=1, duration_ms=200.0, input_tokens_min=1,
+                                     input_tokens_max=1, output_tokens_min=2,
+                                     output_tokens_max=2, seed=5)
+    tracer = Tracer()
+    try:
+        layers.install(tracer)
+        report = bench(ReplicaSet(endpoints=(server.url,)), workload_config)
+    finally:
+        tracer.unwrap()
+        server.stop()
+
+    assert report.summary["completed"] >= 1
+    totals = tracer.totals(tracer.spans())
+    for name in ("metrics.merge", "metrics.summarize", "gateway.stream_request",
+                 "workload.sample_payload", "gateway.submit", "gateway.process_due"):
+        assert totals[name]["calls"] >= 1, name

@@ -260,6 +260,22 @@ def test_bench_dead_endpoint_reports_failures():
     assert report.summary["request_count"] == 0
 
 
+def test_bench_live_and_dead_endpoints_account_every_request(server):
+    """A dead replica's requests fail and are counted; the live one's echo stands in for it."""
+    dead = "http://127.0.0.1:9"
+    report = bench(
+        ReplicaSet(endpoints=(server.url, dead)),
+        _bench_workload(users=2, duration_ms=400.0),
+    )
+    summary = report.summary
+    assert summary["failure_count"] >= 1
+    assert summary["submitted"] == summary["completed"] + summary["failure_count"]
+    assert summary["discarded"] == 0
+    assert report.per_replica[dead] == 0
+    assert report.per_replica[server.url] == summary["completed"] == len(report.records)
+    assert report.config["engine"] == _FAST.to_dict()
+
+
 def test_live_averages_match_virtual_model():
     """With a single 20 ms decode constant, live pacing must track virtual time."""
     config = EngineConfig(

@@ -161,6 +161,28 @@ def test_oversubscribed_run_hash_is_pinned(case):
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == EVICTION_GOLDEN[case]
 
 
+# 3 users over 4 replicas: the last replica gets no user, so it serves nothing
+# and is still listed in per_replica.  No bundled scenario leaves a replica empty.
+SPARSE_REPLICAS = {
+    "name": "sparse-replicas",
+    "replicas": 4,
+    "workload": {"n_adapters": 5, "users": 3, "duration_ms": 20000.0, "seed": 7},
+}
+SPARSE_REPLICAS_GOLDEN = "3bbf966cde1f9b04217a821d92a1ad9d83559b8da51c1d002299ee6e823bf64f"
+
+
+def test_sparse_replicas_hash_is_pinned(tmp_path, capsys):
+    scenario = tmp_path / "sparse-replicas.json"
+    scenario.write_text(json.dumps(SPARSE_REPLICAS), encoding="utf-8")
+    output = tmp_path / "report.json"
+    assert main(["simulate", str(scenario), "--output", str(output), "--records"]) == 0
+    capsys.readouterr()
+    assert json.loads(output.read_text())["per_replica"] == {
+        "replica-0": 10, "replica-1": 9, "replica-2": 10, "replica-3": 0,
+    }
+    assert hashlib.sha256(output.read_bytes()).hexdigest() == SPARSE_REPLICAS_GOLDEN
+
+
 PROFILE_GOLDEN = "9854530fcf1c02265caabc457e1e4fd38ee460a9398f6ad124f291e868227de1"
 
 _PROFILE_VOCAB = ["the", "The", "THE", "cat", "Cat", "sat", "on", "mat", "Mat", "a",

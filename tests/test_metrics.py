@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import io
 import math
+from collections import Counter
+from dataclasses import replace
 
 import pytest
 from hypothesis import given
@@ -171,6 +173,53 @@ def test_merge_two_reports_equals_summarize_of_union():
     merged = merge([_report([r1]), _report([r2])])
     assert merged.summary == summarize([r1, r2], 1000.0)
     assert merged.per_adapter == {"adapter-00": 1, "adapter-01": 1}
+
+
+_COUNTERS = ("submitted", "completed", "discarded", "failure_count")
+_TIERS = ("gpu", "cpu", "disk", "remote", "in_transit")
+
+
+@st.composite
+def _replica_reports(draw):
+    """1-4 reports over disjoint random records, with random counters and caches."""
+    times = st.floats(0, 1e6, allow_nan=False)
+    records = [
+        _record(rid=f"r{i:03d}", adapter=adapter, out=out, submit=submit,
+                first=submit + ttft, last=submit + ttft + streaming)
+        for i, (adapter, out, submit, ttft, streaming) in enumerate(draw(st.lists(
+            st.tuples(st.sampled_from(["base", "adapter-00", "adapter-01", "adapter-02"]),
+                      st.integers(1, 50), times, times, times),
+            max_size=30,
+        )))
+    ]
+    cuts = sorted(draw(st.lists(st.integers(0, len(records)), max_size=3)))
+    reports = []
+    for start, end in zip([0, *cuts], [*cuts, len(records)]):
+        report = _report(records[start:end], duration=draw(st.floats(0, 1e7)))
+        counters = draw(st.dictionaries(st.sampled_from(_COUNTERS), st.integers(0, 100)))
+        cache = draw(st.dictionaries(st.sampled_from(_TIERS), st.integers(0, 3), min_size=1))
+        reports.append(replace(report, summary={**report.summary, **counters}, cache=cache))
+    return records, reports
+
+
+@given(_replica_reports())
+def test_merge_is_the_summary_of_the_union(case):
+    records, reports = case
+    merged = merge(reports)
+    union = sorted(records, key=lambda r: (r.submit_ms, r.request_id))
+    duration = max(r.config["workload"]["duration_ms"] for r in reports)
+    expected = summarize(union, duration)
+    for key in _COUNTERS:
+        if all(key in report.summary for report in reports):
+            expected[key] = sum(report.summary[key] for report in reports)
+    assert merged.summary == expected
+    assert merged.records == tuple(union)
+    assert merged.per_adapter == Counter(record.adapter for record in records)
+    # Zero-valued tiers stay, so a cache echo keeps every key it had.
+    tiers = {tier for report in reports for tier in report.cache}
+    assert merged.cache == {
+        tier: sum(report.cache.get(tier, 0) for report in reports) for tier in tiers
+    }
 
 
 def test_merge_mismatched_engine_config_rejected():
