@@ -27,7 +27,7 @@ from .core import (
     scenario_from_dict,
 )
 from .engine import run
-from .metrics import RunReport, merge, write_records_csv
+from .metrics import SUMMARY_COUNTERS, RunReport, merge, write_records_csv
 from .profiler import (
     PROFILE_FEATURES,
     QUALITY_METRICS,
@@ -51,7 +51,7 @@ def format_summary_table(report: RunReport, title: str) -> str:
     summary = report.summary
     lines = [f"== {title} =="]
     counters = [f"request_count={summary['request_count']}"]
-    for key in ("submitted", "completed", "discarded", "failure_count"):
+    for key in SUMMARY_COUNTERS:
         if key in summary:
             counters.append(f"{key}={summary[key]}")
     lines.append("  ".join(counters))
@@ -92,7 +92,7 @@ def _resolve_scenario(token: str) -> Scenario:
 def _write_output(report: RunReport, output: Path, format_: str, include_records: bool) -> None:
     if format_ == "csv":
         with open(output, "w", encoding="utf-8", newline="") as handle:
-            write_records_csv(report.records or (), handle)
+            write_records_csv(report.records, handle)
     else:
         output.write_text(report.to_json_str(include_records), encoding="utf-8")
 
@@ -131,7 +131,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
                 request_id_prefix=f"rep{index}-",
             )
             sub_reports.append(sub_report)
-            per_replica[f"replica-{index}"] = len(sub_report.records or ())
+            per_replica[f"replica-{index}"] = len(sub_report.records)
             offset += block_users
         merged = merge(sub_reports)
         report = replace(

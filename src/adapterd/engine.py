@@ -33,7 +33,6 @@ fetch, which is then due at once.
 from __future__ import annotations
 
 import itertools
-from collections import Counter
 from heapq import heappop, heappush
 from typing import Callable, Sequence
 
@@ -142,11 +141,8 @@ class EngineCore:
     def _push(self, time_: float, prio: int, payload: object = None) -> None:
         heappush(self._heap, (time_, prio, next(self._counter), payload))
 
-    def schedule_submit(self, request: Request, at: float) -> None:
-        self._push(at, _PRIO_SUBMIT, request)
-
-    def next_event_time(self) -> float | None:
-        return self._heap[0][0] if self._heap else None
+    def schedule_submit(self, request: Request) -> None:
+        self._push(request.submit_time, _PRIO_SUBMIT, request)
 
     def run_until_idle(self) -> None:
         heap = self._heap
@@ -272,11 +268,9 @@ class EngineCore:
         summary["submitted"] = self.submitted
         summary["completed"] = len(self.records)
         summary["discarded"] = discarded
-        per_adapter = Counter(record.adapter for record in self.records)
         return RunReport(
             config=config,
             summary=summary,
-            per_adapter=dict(sorted(per_adapter.items())),
             cache=self.cache.residency_stats(),
             records=tuple(self.records),
         )
@@ -320,10 +314,9 @@ def run(
             return
         request_id = f"{request_id_prefix}{next(id_counter):06d}"
         rid_to_user[request_id] = user_index
-        request = Request(
-            request_id, payload.adapter, payload.input_tokens, payload.output_tokens, now
+        core.schedule_submit(
+            Request(request_id, payload.adapter, payload.input_tokens, payload.output_tokens, now)
         )
-        core.schedule_submit(request, now)
 
     for user_index in range(len(users)):
         _next(user_index, 0.0)

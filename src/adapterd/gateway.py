@@ -137,16 +137,8 @@ class LiveEngine:
             request_id = f"live{next(self._ids):06d}"
             token_queue: queue.SimpleQueue = queue.SimpleQueue()
             self._queues[request_id] = token_queue
-            now = self.now_ms()
             self._core.schedule_submit(
-                Request(
-                    id=request_id,
-                    adapter=adapter,
-                    input_tokens=input_tokens,
-                    max_new_tokens=max_new_tokens,
-                    submit_time=now,
-                ),
-                now,
+                Request(request_id, adapter, input_tokens, max_new_tokens, self.now_ms())
             )
             self._cond.notify_all()
         return request_id, token_queue
@@ -178,15 +170,9 @@ class LiveEngine:
     def _dispatch_loop(self) -> None:
         with self._cond:
             while self._running:
-                next_time = self._core.next_event_time()
-                if next_time is None:
-                    self._cond.wait(timeout=0.25)
-                    continue
-                now = self.now_ms()
-                if now < next_time:
-                    self._cond.wait(timeout=min((next_time - now) / 1000.0, 0.25))
-                    continue
-                self._core.process_due(now)
+                next_time = self._core.process_due(self.now_ms())
+                wait_s = 0.25 if next_time is None else (next_time - self.now_ms()) / 1000.0
+                self._cond.wait(timeout=min(wait_s, 0.25))
 
 
 # -- HTTP server ---------------------------------------------------------------
@@ -491,10 +477,10 @@ def bench(replicas: ReplicaSet, workload: WorkloadConfig) -> RunReport:
     rotation = itertools.cycle(replicas.endpoints)
     rotation_lock = threading.Lock()
 
-    users = workload.users
-    results: list[list[tuple[str, RequestRecord]]] = [[] for _ in range(users)]
-    attempts = [0] * users
-    failures = [0] * users
+    # Per endpoint, under the rotation lock: requests sent, failed and served.
+    sent = dict.fromkeys(replicas.endpoints, 0)
+    failed = dict.fromkeys(replicas.endpoints, 0)
+    served: dict[str, list[RequestRecord]] = {endpoint: [] for endpoint in sent}
 
     def worker(user_index: int) -> None:
         user = User(user_index, workload)
@@ -505,8 +491,8 @@ def bench(replicas: ReplicaSet, workload: WorkloadConfig) -> RunReport:
             )
             with rotation_lock:
                 endpoint = next(rotation)
+                sent[endpoint] += 1
             sequence += 1
-            attempts[user_index] += 1
             request_id = f"u{user_index:03d}-{sequence:05d}"
             try:
                 record = _stream_request(
@@ -518,55 +504,43 @@ def bench(replicas: ReplicaSet, workload: WorkloadConfig) -> RunReport:
                     origin,
                 )
             except (OSError, ValueError, KeyError, http.client.HTTPException):
-                failures[user_index] += 1
+                with rotation_lock:
+                    failed[endpoint] += 1
                 time.sleep(_FAILURE_BACKOFF_S)
                 continue
-            results[user_index].append((endpoint, record))
+            with rotation_lock:
+                served[endpoint].append(record)
 
     threads = [
         threading.Thread(target=worker, args=(i,), name=f"bench-user-{i}", daemon=True)
-        for i in range(users)
+        for i in range(workload.users)
     ]
     for thread in threads:
         thread.start()
     for thread in threads:
         thread.join()
 
-    by_endpoint: dict[str, list[RequestRecord]] = {e: [] for e in replicas.endpoints}
-    for bucket in results:
-        for endpoint, record in bucket:
-            by_endpoint[endpoint].append(record)
-
-    echoes = {endpoint: _fetch_engine_echo(endpoint) for endpoint in replicas.endpoints}
+    echoes = {endpoint: _fetch_engine_echo(endpoint) for endpoint in served}
     # A replica that died after serving still owes its records to the merge;
     # reuse a surviving replica's engine echo so the merge precondition
     # (identical engines) can still be checked across the ones that answered.
     fallback = next((echo for echo in echoes.values() if echo is not None), None)
-
-    sub_reports = []
-    for endpoint in replicas.endpoints:
-        records = sorted(by_endpoint[endpoint], key=lambda r: (r.submit_ms, r.request_id))
-        per_adapter: dict[str, int] = {}
-        for record in records:
-            per_adapter[record.adapter] = per_adapter.get(record.adapter, 0) + 1
-        sub_reports.append(
-            RunReport(
-                config={
-                    "engine": echoes[endpoint] if echoes[endpoint] is not None else fallback,
-                    "workload": workload.to_dict(),
-                },
-                summary=summarize(records, workload.duration_ms),
-                per_adapter=per_adapter,
-                cache={},
-                records=tuple(records),
-            )
+    merged = merge([
+        RunReport(
+            config={
+                "engine": echoes[endpoint] if echoes[endpoint] is not None else fallback,
+                "workload": workload.to_dict(),
+            },
+            summary={
+                **summarize(records, workload.duration_ms),
+                "submitted": sent[endpoint],
+                "completed": len(records),
+                "discarded": 0,
+                "failure_count": failed[endpoint],
+            },
+            cache={},
+            records=tuple(records),
         )
-
-    merged = merge(sub_reports)
-    summary = dict(merged.summary)
-    summary["submitted"] = sum(attempts)
-    summary["completed"] = sum(len(by_endpoint[e]) for e in replicas.endpoints)
-    summary["discarded"] = 0
-    summary["failure_count"] = sum(failures)
-    per_replica = {endpoint: len(by_endpoint[endpoint]) for endpoint in replicas.endpoints}
-    return replace(merged, summary=summary, per_replica=per_replica)
+        for endpoint, records in served.items()
+    ])
+    return replace(merged, per_replica={e: len(records) for e, records in served.items()})

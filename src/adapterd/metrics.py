@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+from collections import Counter
 from dataclasses import dataclass
 from typing import IO, Iterable, NamedTuple, Sequence
 
@@ -20,6 +21,7 @@ __all__ = [
     "MergeError",
     "RequestRecord",
     "RunReport",
+    "SUMMARY_COUNTERS",
     "derive",
     "merge",
     "percentile",
@@ -121,28 +123,36 @@ def summarize(records: Sequence[RequestRecord], run_duration_ms: float) -> dict:
     return summary
 
 
+# Run counters a summary may carry beside its latency blocks; merging sums them.
+SUMMARY_COUNTERS = ("submitted", "completed", "discarded", "failure_count")
+
+
 @dataclass(frozen=True)
 class RunReport:
     """Complete result of one run: configuration echo, summary, and breakdowns."""
 
     config: dict
     summary: dict
-    per_adapter: dict[str, int]
     cache: dict[str, int]
-    records: tuple[RequestRecord, ...] | None = None
+    records: tuple[RequestRecord, ...]
     per_replica: dict[str, int] | None = None
+
+    @property
+    def per_adapter(self) -> dict[str, int]:
+        """Completed requests per adapter, in adapter order."""
+        return dict(sorted(Counter(r.adapter for r in self.records).items()))
 
     def to_json_dict(self, include_records: bool = False) -> dict:
         payload: dict = {
             "config": self.config,
             "summary": self.summary,
-            "per_adapter": dict(sorted(self.per_adapter.items())),
+            "per_adapter": self.per_adapter,
             "cache": self.cache,
         }
         if self.per_replica is not None:
             payload["per_replica"] = self.per_replica
         if include_records:
-            payload["records"] = [dict(zip(_CSV_FIELDS, r)) for r in self.records or ()]
+            payload["records"] = [dict(zip(_CSV_FIELDS, r)) for r in self.records]
         return payload
 
     def to_json_str(self, include_records: bool = False) -> str:
@@ -155,15 +165,13 @@ def write_records_csv(records: Iterable[RequestRecord], stream: IO[str]) -> None
     writer.writerows(records)  # csv writes each float by its repr
 
 
-_SUMMED_SUMMARY_KEYS = ("submitted", "completed", "discarded", "failure_count")
-
-
 def merge(reports: Sequence[RunReport]) -> RunReport:
     """Combine reports from replicas of the same engine into one.
 
-    All reports must carry identical engine configuration echoes and full
-    record sets; the merged summary is recomputed from the union of records
-    so averages and percentiles stay exact rather than averaged-of-averages.
+    All reports must carry identical engine configuration echoes; the merged
+    summary is recomputed from the union of records so averages and
+    percentiles stay exact rather than averaged-of-averages, and each run
+    counter that every report carries is summed.
     """
     if not reports:
         raise MergeError("cannot merge zero reports")
@@ -171,30 +179,19 @@ def merge(reports: Sequence[RunReport]) -> RunReport:
     for report in reports[1:]:
         if report.config.get("engine") != engine_echo:
             raise MergeError("reports come from differently configured engines")
-    union: list[RequestRecord] = []
-    for report in reports:
-        if report.records is None:
-            raise MergeError("merge requires per-request records on every report")
-        union.extend(report.records)
-    union.sort(key=lambda r: (r.submit_ms, r.request_id))
+    union = sorted(
+        (record for report in reports for record in report.records),
+        key=lambda r: (r.submit_ms, r.request_id),
+    )
     duration = max(
         float(report.config.get("workload", {}).get("duration_ms", 0.0)) for report in reports
     )
     summary = summarize(union, duration)
-    for key in _SUMMED_SUMMARY_KEYS:
+    for key in SUMMARY_COUNTERS:
         if all(key in report.summary for report in reports):
             summary[key] = sum(report.summary[key] for report in reports)
-    per_adapter: dict[str, int] = {}
     cache: dict[str, int] = {}
     for report in reports:
-        for adapter, count in report.per_adapter.items():
-            per_adapter[adapter] = per_adapter.get(adapter, 0) + count
         for tier, count in report.cache.items():
             cache[tier] = cache.get(tier, 0) + count
-    return RunReport(
-        config=reports[0].config,
-        summary=summary,
-        per_adapter=per_adapter,
-        cache=cache,
-        records=tuple(union),
-    )
+    return RunReport(config=reports[0].config, summary=summary, cache=cache, records=tuple(union))

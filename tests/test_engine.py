@@ -156,10 +156,10 @@ def test_run_prewarmed_adapter_has_no_fetch_delay():
 def test_switch_overhead_charged_only_on_adapter_transition():
     config = EngineConfig()
     core = EngineCore(config, ["adapter-00", "adapter-01"], prewarm=True)
-    core.schedule_submit(Request("a", "adapter-00", 100, 10, 0.0), 0.0)
-    core.schedule_submit(Request("b", "adapter-01", 100, 5, 50.0), 50.0)
-    core.schedule_submit(Request("c", "adapter-00", 100, 5, 60.0), 60.0)
-    core.schedule_submit(Request("d", "base", 100, 5, 70.0), 70.0)
+    core.schedule_submit(Request("a", "adapter-00", 100, 10, 0.0))
+    core.schedule_submit(Request("b", "adapter-01", 100, 5, 50.0))
+    core.schedule_submit(Request("c", "adapter-00", 100, 5, 60.0))
+    core.schedule_submit(Request("d", "base", 100, 5, 70.0))
     core.run_until_idle()
     first = {r.request_id: r.first_token_ms for r in core.records}
     # b lands while adapter-00 streams: gap 12 + 0.6*2 plus the 0.1 switch.

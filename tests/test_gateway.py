@@ -276,6 +276,15 @@ def test_bench_live_and_dead_endpoints_account_every_request(server):
     assert report.config["engine"] == _FAST.to_dict()
 
 
+def test_bench_repeated_endpoint_counts_each_request_once(server):
+    report = bench(ReplicaSet(endpoints=(server.url, server.url)), _bench_workload())
+    summary = report.summary
+    assert summary["failure_count"] == 0
+    assert summary["submitted"] == summary["completed"] == summary["request_count"] >= 1
+    assert len({record.request_id for record in report.records}) == len(report.records)
+    assert report.per_replica == {server.url: summary["completed"]}
+
+
 def test_live_averages_match_virtual_model():
     """With a single 20 ms decode constant, live pacing must track virtual time."""
     config = EngineConfig(

@@ -39,13 +39,9 @@ def _record(rid="r1", adapter="base", inp=100, out=5, submit=0.0, first=107.5, l
 def _report(records, duration=1000.0, d0=12.0):
     engine = EngineConfig(decode_base_ms=d0)
     workload = WorkloadConfig(duration_ms=duration)
-    per_adapter: dict[str, int] = {}
-    for record in records:
-        per_adapter[record.adapter] = per_adapter.get(record.adapter, 0) + 1
     return RunReport(
         config={"engine": engine.to_dict(), "workload": workload.to_dict()},
         summary=summarize(records, duration),
-        per_adapter=per_adapter,
         cache={"gpu": 0, "cpu": 0, "disk": 0, "remote": 0, "in_transit": 0},
         records=tuple(records),
     )
