@@ -10,8 +10,8 @@ of its configuration.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
-from typing import Any, NamedTuple
+from dataclasses import dataclass, fields, is_dataclass
+from typing import Any, NamedTuple, get_type_hints
 
 VirtualTime = float
 
@@ -205,26 +205,40 @@ class Scenario:
     prewarm_adapters: bool = False
 
 
-def _known_fields(cls: type, raw: dict[str, Any], where: str) -> dict[str, Any]:
-    """``raw`` itself, once every key in it is checked to name a field of ``cls``."""
-    unknown = sorted(set(raw) - {f.name for f in fields(cls)})
+_JSON_KINDS = {int: "an integer", float: "a number", str: "a string", bool: "a boolean"}
+
+
+def _check_section(cls: type, raw: Any, where: str) -> None:
+    """Check that ``raw`` is an object whose keys name fields of ``cls``, each of its type.
+
+    An int field takes a JSON integer but not a boolean, a float field takes
+    any JSON number, and a nested configuration takes an object.
+    """
+    if not isinstance(raw, dict):
+        raise ValueError(f"{where}: must be an object (got {raw!r})")
+    kinds = get_type_hints(cls)
+    unknown = sorted(set(raw) - set(kinds))
     if unknown:
         raise ValueError(f"{where}: unknown fields {unknown}")
-    return raw
+    for name, value in raw.items():
+        kind = kinds[name]
+        accepted = (int, float) if kind is float else kind
+        if is_dataclass(kind):
+            _check_section(kind, value, name)
+        elif not isinstance(value, accepted) or isinstance(value, bool) != (kind is bool):
+            raise ValueError(f"{where}.{name}: must be {_JSON_KINDS[kind]} (got {value!r})")
 
 
-def scenario_from_dict(raw: dict[str, Any]) -> Scenario:
+def scenario_from_dict(raw: Any) -> Scenario:
     """Build a Scenario from one JSON document with "engine" and "workload" objects."""
-    _known_fields(Scenario, raw, "scenario")
-    engine = EngineConfig(**_known_fields(EngineConfig, raw.get("engine", {}), "engine"))
-    workload = WorkloadConfig(**_known_fields(WorkloadConfig, raw.get("workload", {}), "workload"))
-    replicas = int(raw.get("replicas", 1))
+    _check_section(Scenario, raw, "scenario")
+    replicas = raw.get("replicas", 1)
     if replicas < 1:
         raise ValueError(f"scenario.replicas: must be >= 1 (got {replicas})")
     return Scenario(
-        name=str(raw.get("name", "scenario")),
-        engine=engine,
-        workload=workload,
+        name=raw.get("name", "scenario"),
+        engine=EngineConfig(**raw.get("engine", {})),
+        workload=WorkloadConfig(**raw.get("workload", {})),
         replicas=replicas,
-        prewarm_adapters=bool(raw.get("prewarm_adapters", False)),
+        prewarm_adapters=raw.get("prewarm_adapters", False),
     )

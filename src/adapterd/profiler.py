@@ -450,6 +450,7 @@ def _load_csv(path: str | Path, record_type: type, layout: tuple) -> list:
     for kind, group in layout:
         spans.append((kind, len(columns), len(columns) + len(group)))
         columns += group
+    integral = [i for kind, start, end in spans if kind is int for i in range(start, end)]
     records = []
     with open(path, newline="", encoding="utf-8") as handle:
         reader = csv.DictReader(handle)
@@ -457,15 +458,22 @@ def _load_csv(path: str | Path, record_type: type, layout: tuple) -> list:
         if reader.fieldnames is None or not required.issubset(reader.fieldnames):
             missing = sorted(required - set(reader.fieldnames or ()))
             raise ValueError(f"{path}:1: missing columns: {', '.join(missing)}")
-        for line_no, row in enumerate(reader, start=2):
+        for row in reader:  # reader.line_num is the row's line in the file
             values = []
             for column in columns:
                 try:
                     values.append(float(row[column]))
                 except (TypeError, ValueError):
                     raise ValueError(
-                        f"{path}:{line_no}: field '{column}' is not a number: {row[column]!r}"
+                        f"{path}:{reader.line_num}: field '{column}' is not a number: "
+                        f"{row[column]!r}"
                     ) from None
+            for i in integral:
+                if not values[i].is_integer():  # also inf and nan
+                    raise ValueError(
+                        f"{path}:{reader.line_num}: field '{columns[i]}' is not an integer: "
+                        f"{row[columns[i]]!r}"
+                    )
             parts = [kind(*values[start:end]) for kind, start, end in spans]
             records.append(record_type(row["name"], *parts))
     return records

@@ -141,6 +141,48 @@ def test_simulate_rejects_unknown_scenario_field(tmp_path, capsys):
     assert "wot" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    ("doc", "message"),
+    [
+        ([], "scenario: must be an object (got [])"),
+        ({"engine": 5}, "engine: must be an object (got 5)"),
+        ({"engine": None}, "engine: must be an object (got None)"),
+        ({"engine": {"gpu_slots": "x"}, "workload": {}},
+         "engine.gpu_slots: must be an integer (got 'x')"),
+        ({"replicas": [1]}, "scenario.replicas: must be an integer (got [1])"),
+        ({"workload": {"seed": 1.5}}, "workload.seed: must be an integer (got 1.5)"),
+        ({"workload": {"users": True}}, "workload.users: must be an integer (got True)"),
+        ({"workload": {"duration_ms": False}},
+         "workload.duration_ms: must be a number (got False)"),
+        ({"workload": {"adapter_assignment": 1}},
+         "workload.adapter_assignment: must be a string (got 1)"),
+        ({"prewarm_adapters": 1}, "scenario.prewarm_adapters: must be a boolean (got 1)"),
+    ],
+    ids=["list", "engine-int", "engine-null", "str-in-int", "list-in-int", "float-in-int",
+         "bool-in-int", "bool-in-float", "int-in-str", "int-in-bool"],
+)
+def test_simulate_mistyped_scenario_exits_2_with_one_line(tmp_path, capsys, doc, message):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert main(["simulate", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [f"error: {message}"]
+
+
+def test_simulate_takes_an_integer_for_a_float_field(tmp_path, capsys):
+    # JSON has one number type: 400 is a valid duration, and is echoed as written.
+    path = _scenario_file(tmp_path)
+    doc = json.loads(path.read_text())
+    doc["workload"]["duration_ms"] = 400
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    output = tmp_path / "report.json"
+    assert main(["simulate", str(path), "--output", str(output)]) == 0
+    capsys.readouterr()
+    duration = json.loads(output.read_text())["config"]["workload"]["duration_ms"]
+    assert type(duration) is int and duration == 400
+
+
 def _dataset_file(tmp_path):
     rows = [
         {"input": "alpha beta gamma", "output": "delta"},
@@ -274,6 +316,15 @@ def _set_cell(line, column, value):
     return edit
 
 
+def _blank_line_before(line, edit):
+    """``edit``, then an empty line in front of the given line, which moves it one down."""
+    def with_blank(rows):
+        rows = edit(rows)
+        return rows[: line - 1] + [[""]] + rows[line - 1:]
+
+    return with_blank
+
+
 def _cut_row(line, cells):
     def edit(rows):
         rows[line - 1] = rows[line - 1][:cells]
@@ -322,6 +373,31 @@ def _cut_row(line, cells):
             "quality_records.csv",
             _cut_row(2, 3),
             "2: field 'avg_base_lift' is not a number: None",
+        ),
+        (
+            "task_profiles.csv",
+            _set_cell(2, "n_examples", "inf"),
+            "2: field 'n_examples' is not an integer: 'inf'",
+        ),
+        (
+            "task_profiles.csv",
+            _set_cell(5, "n_examples", "nan"),
+            "5: field 'n_examples' is not an integer: 'nan'",
+        ),
+        (
+            "task_profiles.csv",
+            _set_cell(3, "n_examples", "2.5"),
+            "3: field 'n_examples' is not an integer: '2.5'",
+        ),
+        (
+            "task_profiles.csv",
+            _blank_line_before(4, _set_cell(4, "n_examples", "x1")),
+            "5: field 'n_examples' is not a number: 'x1'",
+        ),
+        (
+            "quality_records.csv",
+            _blank_line_before(3, _set_cell(3, "gpt4_score", "abc")),
+            "4: field 'gpt4_score' is not a number: 'abc'",
         ),
     ],
 )
