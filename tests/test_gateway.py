@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import socket
+import sys
 import threading
 import time
 import urllib.error
@@ -274,6 +275,26 @@ def test_bench_live_and_dead_endpoints_account_every_request(server):
     assert report.per_replica[dead] == 0
     assert report.per_replica[server.url] == summary["completed"] == len(report.records)
     assert report.config["engine"] == _FAST.to_dict()
+
+
+def test_bench_counters_lose_no_update_under_thread_switching(monkeypatch, server):
+    """Six users share bench's per-endpoint counters while threads switch every microsecond."""
+    sent = _record_endpoints(monkeypatch)
+    dead = "http://127.0.0.1:9"
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        report = bench(
+            ReplicaSet(endpoints=(server.url, dead)),
+            _bench_workload(users=6, duration_ms=400.0),
+        )
+    finally:
+        sys.setswitchinterval(interval)
+    summary = report.summary
+    assert summary["submitted"] == len(sent) == summary["completed"] + summary["failure_count"]
+    assert summary["failure_count"] == sent.count(dead) >= 1
+    assert report.per_replica == {server.url: sent.count(server.url), dead: 0}
+    assert len(report.records) == summary["completed"]
 
 
 def test_bench_repeated_endpoint_counts_each_request_once(server):
