@@ -91,8 +91,15 @@ class ConfigError(ValueError):
         self.violations = violations
 
 
+def _finite(value: float) -> bool:
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an int beyond the float range, such as a 400-digit JSON integer
+        return False
+
+
 def _finite_nonneg(violations: list[str], name: str, value: float) -> None:
-    if not (isinstance(value, (int, float)) and math.isfinite(value) and value >= 0):
+    if not (isinstance(value, (int, float)) and _finite(value) and value >= 0):
         violations.append(f"{name}: must be finite and >= 0 (got {value!r})")
 
 
@@ -113,7 +120,7 @@ def config_violations(engine: EngineConfig, workload: WorkloadConfig) -> list[st
         "switch_overhead_ms",
     ):
         _finite_nonneg(v, name, getattr(engine, name))
-    if not (math.isfinite(engine.decode_base_ms) and engine.decode_base_ms > 0):
+    if not (_finite(engine.decode_base_ms) and engine.decode_base_ms > 0):
         v.append(f"decode_base_ms: must be finite and > 0 (got {engine.decode_base_ms!r})")
     if engine.max_batch_size < 1:
         v.append(f"max_batch_size: must be >= 1 (got {engine.max_batch_size})")
@@ -124,7 +131,7 @@ def config_violations(engine: EngineConfig, workload: WorkloadConfig) -> list[st
         v.append(f"n_adapters: must be >= 0 (got {workload.n_adapters})")
     if workload.users < 1:
         v.append(f"users: must be >= 1 (got {workload.users})")
-    if not (math.isfinite(workload.duration_ms) and workload.duration_ms >= 0):
+    if not (_finite(workload.duration_ms) and workload.duration_ms >= 0):
         v.append(f"duration_ms: must be finite and >= 0 (got {workload.duration_ms!r})")
     for lo_name, hi_name in (
         ("input_tokens_min", "input_tokens_max"),

@@ -157,9 +157,17 @@ def test_simulate_rejects_unknown_scenario_field(tmp_path, capsys):
         ({"workload": {"adapter_assignment": 1}},
          "workload.adapter_assignment: must be a string (got 1)"),
         ({"prewarm_adapters": 1}, "scenario.prewarm_adapters: must be a boolean (got 1)"),
+        # A JSON integer is a number, but one past the float range is not finite.
+        ({"workload": {"duration_ms": 10**400}},
+         f"duration_ms: must be finite and >= 0 (got {10**400})"),
+        ({"engine": {"t_download_ms": 10**400}},
+         f"t_download_ms: must be finite and >= 0 (got {10**400})"),
+        ({"engine": {"decode_base_ms": -10**400}},
+         f"decode_base_ms: must be finite and > 0 (got {-10**400})"),
     ],
     ids=["list", "engine-int", "engine-null", "str-in-int", "list-in-int", "float-in-int",
-         "bool-in-int", "bool-in-float", "int-in-str", "int-in-bool"],
+         "bool-in-int", "bool-in-float", "int-in-str", "int-in-bool", "huge-duration",
+         "huge-hop", "huge-decode"],
 )
 def test_simulate_mistyped_scenario_exits_2_with_one_line(tmp_path, capsys, doc, message):
     path = tmp_path / "bad.json"
