@@ -6,7 +6,9 @@ A rename in the program that breaks ``benchmarks/run.py --trace 1`` fails
 here first, and so does a ``compute_profile`` that stops calling the wrapped
 ``rouge_l``, which would zero the profiler's per-layer metrics, and a
 ``sample_payload`` that draws without calling ``workload.rng_next_uniform``,
-which would zero the workload's RNG metrics.  So does a
+which would zero the workload's RNG metrics, and a ``bench`` or live
+dispatcher that stops calling a wrapped name, which would zero the
+``live-stream`` workload's per-layer metrics.  So does a
 profile, lift fit or leave-one-out RMSE that the ``profile-lift`` workload's
 oracles would reject, and a simulate report or cold fetch that the
 ``adapter-churn`` workload's oracles would reject.
