@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 import re
 import threading
 from pathlib import Path
@@ -189,6 +190,65 @@ def test_simulate_takes_an_integer_for_a_float_field(tmp_path, capsys):
     capsys.readouterr()
     duration = json.loads(output.read_text())["config"]["workload"]["duration_ms"]
     assert type(duration) is int and duration == 400
+
+
+# (section, field, type, bound, strict) of every bounded scenario field. A field
+# holds at least its bound, or more than it when strict; a float field must also
+# be finite. Section None is the scenario itself.
+_BOUNDED = [
+    ("engine", "gpu_slots", int, 1, False),
+    ("engine", "cpu_slots", int, 0, False),
+    ("engine", "t_download_ms", float, 0, False),
+    ("engine", "t_disk_to_cpu_ms", float, 0, False),
+    ("engine", "t_cpu_to_gpu_ms", float, 0, False),
+    ("engine", "decode_base_ms", float, 0, True),
+    ("engine", "decode_per_seq_ms", float, 0, False),
+    ("engine", "prefill_base_ms", float, 0, False),
+    ("engine", "prefill_per_token_ms", float, 0, False),
+    ("engine", "switch_overhead_ms", float, 0, False),
+    ("engine", "max_batch_size", int, 1, False),
+    ("engine", "admission_per_step", int, 1, False),
+    ("workload", "n_adapters", int, 0, False),
+    ("workload", "users", int, 1, False),
+    ("workload", "duration_ms", float, 0, False),
+    ("workload", "input_tokens_min", int, 1, False),
+    ("workload", "output_tokens_min", int, 1, False),
+    (None, "replicas", int, 1, False),
+]
+
+
+def _bound_cases():
+    for section, field, kind, bound, strict in _BOUNDED:
+        if kind is int:
+            inside, outside = bound + strict, bound + strict - 1
+        elif strict:
+            inside, outside = math.nextafter(bound, math.inf), bound
+        else:
+            inside, outside = bound, math.nextafter(bound, -math.inf)
+        values = [(inside, True, "inside"), (outside, False, "outside")]
+        if kind is float:
+            values += [(10**400, False, "huge"), (-(10**400), False, "-huge")]
+        for value, valid, label in values:
+            yield pytest.param(section, field, value, valid, id=f"{field}-{label}")
+
+
+@pytest.mark.parametrize(("section", "field", "value", "valid"), _bound_cases())
+def test_simulate_checks_each_bounded_field_at_its_bound(
+    tmp_path, capsys, section, field, value, valid
+):
+    path = _scenario_file(tmp_path)
+    doc = json.loads(path.read_text())
+    (doc if section is None else doc[section])[field] = value
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    code = main(["simulate", str(path)])
+    captured = capsys.readouterr()
+    if valid:
+        assert code == 0, captured.err
+        return
+    assert code == 2
+    assert captured.out == ""
+    [line] = captured.err.splitlines()
+    assert line.startswith("error: ") and field in line
 
 
 def _dataset_file(tmp_path):

@@ -392,6 +392,31 @@ def test_bad_body_answered_without_traceback(server, capfd, body):
     assert capfd.readouterr().err == ""
 
 
+@pytest.mark.parametrize(
+    ("body", "field"),
+    [
+        ({"input_tokens": 1, "max_new_tokens": True}, "max_new_tokens"),
+        ({"input_tokens": 1, "max_new_tokens": 1.5}, "max_new_tokens"),
+        ({"input_tokens": 1}, "max_new_tokens"),
+        ({"input_tokens": 0, "max_new_tokens": 1}, "input_tokens"),
+        ({"prompt": "", "max_new_tokens": 1}, "prompt"),
+        ({"max_new_tokens": 1}, "input_tokens"),
+        ({"input_tokens": 1, "max_new_tokens": 1, "adapter": ""}, "adapter"),
+        ("x" * 100_000, "body"),
+    ],
+    ids=["bool-max-new", "float-max-new", "no-max-new", "zero-input", "empty-prompt",
+         "no-input", "empty-adapter", "string-body"],
+)
+def test_bad_generate_body_names_its_field(server, capfd, body, field):
+    data = json.dumps(body).encode("utf-8")
+    head, _, reply = _raw_post(server.port, len(data), data).partition(b"\r\n\r\n")
+    assert head.split()[1] == b"400"
+    assert len(reply) < 1000  # a body is never echoed back whole
+    [violation] = json.loads(reply)["violations"]
+    assert field in violation
+    assert capfd.readouterr().err == ""
+
+
 def _engine_threads():
     return {t for t in threading.enumerate() if t.name == "adapterd-engine"}
 
