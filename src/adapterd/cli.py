@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from dataclasses import asdict, replace
 from importlib import resources
@@ -270,6 +271,8 @@ def _build_parser() -> argparse.ArgumentParser:
     srv.set_defaults(handler=cmd_serve)
 
     ben = sub.add_parser("bench", help="drive a closed-loop workload against live replicas")
+    # argparse's private matcher, with no public hook, reads "-1e-7" as an option, not a value.
+    ben._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)(e[-+]?\d+)?$", re.I)
     ben.add_argument("--url", action="append", required=True, help="replica URL (repeatable)")
     ben.add_argument("--users", type=int, default=1)
     ben.add_argument("--duration-s", type=float, default=10.0)

@@ -9,9 +9,10 @@ of its configuration.
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass, fields, is_dataclass
-from typing import Any, NamedTuple, get_type_hints
+from dataclasses import MISSING, dataclass, fields, is_dataclass
+from typing import Annotated, Any, NamedTuple, get_args, get_origin, get_type_hints
 
 VirtualTime = float
 
@@ -25,6 +26,18 @@ def adapter_name(index: int) -> str:
     return f"adapter-{index:02d}"
 
 
+class Bound(NamedTuple):
+    """A numeric field's rule: at least ``lo``, or above it when ``strict``.
+
+    A float field must also be finite. It is declared next to the field's
+    type, as ``Annotated[int, Bound(1)]``, and :func:`field_violations`
+    applies it.
+    """
+
+    lo: int
+    strict: bool = False
+
+
 @dataclass(frozen=True)
 class EngineConfig:
     """Latency-model constants and capacity knobs for the serving engine.
@@ -33,18 +46,18 @@ class EngineConfig:
     stream) with sub-millisecond adapter switch cost.
     """
 
-    gpu_slots: int = 32
-    cpu_slots: int = 256
-    t_download_ms: float = 2000.0
-    t_disk_to_cpu_ms: float = 200.0
-    t_cpu_to_gpu_ms: float = 5.0
-    decode_base_ms: float = 12.0
-    decode_per_seq_ms: float = 0.6
-    prefill_base_ms: float = 80.0
-    prefill_per_token_ms: float = 0.15
-    switch_overhead_ms: float = 0.1
-    max_batch_size: int = 128
-    admission_per_step: int = 8
+    gpu_slots: Annotated[int, Bound(1)] = 32
+    cpu_slots: Annotated[int, Bound(0)] = 256
+    t_download_ms: Annotated[float, Bound(0)] = 2000.0
+    t_disk_to_cpu_ms: Annotated[float, Bound(0)] = 200.0
+    t_cpu_to_gpu_ms: Annotated[float, Bound(0)] = 5.0
+    decode_base_ms: Annotated[float, Bound(0, strict=True)] = 12.0
+    decode_per_seq_ms: Annotated[float, Bound(0)] = 0.6
+    prefill_base_ms: Annotated[float, Bound(0)] = 80.0
+    prefill_per_token_ms: Annotated[float, Bound(0)] = 0.15
+    switch_overhead_ms: Annotated[float, Bound(0)] = 0.1
+    max_batch_size: Annotated[int, Bound(1)] = 128
+    admission_per_step: Annotated[int, Bound(1)] = 8
 
     def to_dict(self) -> dict[str, Any]:
         return {f.name: getattr(self, f.name) for f in fields(self)}
@@ -59,12 +72,12 @@ class WorkloadConfig:
     giving exactly symmetric per-adapter load).
     """
 
-    n_adapters: int = 0
-    users: int = 1
-    duration_ms: float = 120_000.0
-    input_tokens_min: int = 30
+    n_adapters: Annotated[int, Bound(0)] = 0
+    users: Annotated[int, Bound(1)] = 1
+    duration_ms: Annotated[float, Bound(0)] = 120_000.0
+    input_tokens_min: Annotated[int, Bound(1)] = 30
     input_tokens_max: int = 500
-    output_tokens_min: int = 1
+    output_tokens_min: Annotated[int, Bound(1)] = 1
     output_tokens_max: int = 120
     seed: int = 0
     adapter_assignment: str = "uniform"
@@ -91,56 +104,68 @@ class ConfigError(ValueError):
         self.violations = violations
 
 
-def _finite(value: float) -> bool:
-    try:
-        return math.isfinite(value)
-    except OverflowError:  # an int beyond the float range, such as a 400-digit JSON integer
-        return False
+_JSON_KINDS = {int: "an integer", float: "a number", str: "a string", bool: "a boolean"}
 
 
-def _finite_nonneg(violations: list[str], name: str, value: float) -> None:
-    if not (isinstance(value, (int, float)) and _finite(value) and value >= 0):
-        violations.append(f"{name}: must be finite and >= 0 (got {value!r})")
+@functools.cache
+def _field_rules(cls: type) -> tuple[dict[str, tuple[type, Bound | None]], frozenset[str]]:
+    """(type, bound) of each field of ``cls`` by name, and the fields without a default."""
+    rules = {}
+    for name, hint in get_type_hints(cls, include_extras=True).items():
+        kind, *extras = get_args(hint) if get_origin(hint) is Annotated else (hint,)
+        rules[name] = kind, next(iter(extras), None)
+    required = frozenset(f.name for f in fields(cls) if f.default is MISSING)
+    return rules, required
+
+
+def field_violations(cls: type, values: Any, where: str) -> list[str]:
+    """Every unknown, missing, mistyped or out-of-bounds field of ``values`` for ``cls``.
+
+    ``values`` maps field names to values as JSON gives them: an int field
+    takes an integer but not a boolean, a float field any number, and a
+    nested configuration an object, checked the same way under its own name.
+    A key or type violation names ``where`` and the field; a bound violation
+    names the field alone, since it reads the same from a file, a flag or a
+    constructor.
+    """
+    if not isinstance(values, dict):
+        return [f"{where}: must be an object (got {values!r})"]
+    rules, required = _field_rules(cls)
+    violations = []
+    unknown = sorted(set(values) - rules.keys())
+    if unknown:
+        violations.append(f"{where}: unknown fields {unknown}")
+    violations += [f"{where}.{name}: required" for name in sorted(required - set(values))]
+    for name, value in values.items():
+        if name not in rules:
+            continue
+        kind, bound = rules[name]
+        accepted = (int, float) if kind is float else kind
+        if is_dataclass(kind):
+            violations += field_violations(kind, value, name)
+        elif not isinstance(value, accepted) or isinstance(value, bool) != (kind is bool):
+            violations.append(f"{where}.{name}: must be {_JSON_KINDS[kind]} (got {value!r})")
+        elif bound is not None:
+            try:
+                finite = kind is int or math.isfinite(value)
+            except OverflowError:  # an int beyond the float range, such as a 400-digit JSON integer
+                finite = False
+            if not (finite and (value > bound.lo if bound.strict else value >= bound.lo)):
+                rule = ("finite and " if kind is float else "") + (">" if bound.strict else ">=")
+                violations.append(f"{name}: must be {rule} {bound.lo} (got {value!r})")
+    return violations
 
 
 def config_violations(engine: EngineConfig, workload: WorkloadConfig) -> list[str]:
     """Return every invariant violation in the pair; empty list means valid."""
-    v: list[str] = []
-    if engine.gpu_slots < 1:
-        v.append(f"gpu_slots: must be >= 1 (got {engine.gpu_slots})")
-    if engine.cpu_slots < 0:
-        v.append(f"cpu_slots: must be >= 0 (got {engine.cpu_slots})")
-    for name in (
-        "t_download_ms",
-        "t_disk_to_cpu_ms",
-        "t_cpu_to_gpu_ms",
-        "decode_per_seq_ms",
-        "prefill_base_ms",
-        "prefill_per_token_ms",
-        "switch_overhead_ms",
-    ):
-        _finite_nonneg(v, name, getattr(engine, name))
-    if not (_finite(engine.decode_base_ms) and engine.decode_base_ms > 0):
-        v.append(f"decode_base_ms: must be finite and > 0 (got {engine.decode_base_ms!r})")
-    if engine.max_batch_size < 1:
-        v.append(f"max_batch_size: must be >= 1 (got {engine.max_batch_size})")
-    if engine.admission_per_step < 1:
-        v.append(f"admission_per_step: must be >= 1 (got {engine.admission_per_step})")
-
-    if workload.n_adapters < 0:
-        v.append(f"n_adapters: must be >= 0 (got {workload.n_adapters})")
-    if workload.users < 1:
-        v.append(f"users: must be >= 1 (got {workload.users})")
-    if not (_finite(workload.duration_ms) and workload.duration_ms >= 0):
-        v.append(f"duration_ms: must be finite and >= 0 (got {workload.duration_ms!r})")
+    v = field_violations(EngineConfig, vars(engine), "engine")
+    v += field_violations(WorkloadConfig, vars(workload), "workload")
     for lo_name, hi_name in (
         ("input_tokens_min", "input_tokens_max"),
         ("output_tokens_min", "output_tokens_max"),
     ):
         lo = getattr(workload, lo_name)
         hi = getattr(workload, hi_name)
-        if lo < 1:
-            v.append(f"{lo_name}: must be >= 1 (got {lo})")
         if lo > hi:
             v.append(f"{lo_name}: min <= max required (got {lo} > {hi})")
     if not (0 <= workload.seed < 2**64):
@@ -205,47 +230,22 @@ def rng_split(rng: Rng, label: int) -> Rng:
 class Scenario:
     """A runnable benchmark: configs plus replica count and adapter prewarming."""
 
-    name: str
-    engine: EngineConfig
-    workload: WorkloadConfig
-    replicas: int = 1
+    name: str = "scenario"
+    engine: EngineConfig = EngineConfig()
+    workload: WorkloadConfig = WorkloadConfig()
+    replicas: Annotated[int, Bound(1)] = 1
     prewarm_adapters: bool = False
 
 
-_JSON_KINDS = {int: "an integer", float: "a number", str: "a string", bool: "a boolean"}
-
-
-def _check_section(cls: type, raw: Any, where: str) -> None:
-    """Check that ``raw`` is an object whose keys name fields of ``cls``, each of its type.
-
-    An int field takes a JSON integer but not a boolean, a float field takes
-    any JSON number, and a nested configuration takes an object.
-    """
-    if not isinstance(raw, dict):
-        raise ValueError(f"{where}: must be an object (got {raw!r})")
-    kinds = get_type_hints(cls)
-    unknown = sorted(set(raw) - set(kinds))
-    if unknown:
-        raise ValueError(f"{where}: unknown fields {unknown}")
-    for name, value in raw.items():
-        kind = kinds[name]
-        accepted = (int, float) if kind is float else kind
-        if is_dataclass(kind):
-            _check_section(kind, value, name)
-        elif not isinstance(value, accepted) or isinstance(value, bool) != (kind is bool):
-            raise ValueError(f"{where}.{name}: must be {_JSON_KINDS[kind]} (got {value!r})")
-
-
 def scenario_from_dict(raw: Any) -> Scenario:
-    """Build a Scenario from one JSON document with "engine" and "workload" objects."""
-    _check_section(Scenario, raw, "scenario")
-    replicas = raw.get("replicas", 1)
-    if replicas < 1:
-        raise ValueError(f"scenario.replicas: must be >= 1 (got {replicas})")
-    return Scenario(
-        name=raw.get("name", "scenario"),
-        engine=EngineConfig(**raw.get("engine", {})),
-        workload=WorkloadConfig(**raw.get("workload", {})),
-        replicas=replicas,
-        prewarm_adapters=raw.get("prewarm_adapters", False),
-    )
+    """Build a Scenario from one JSON document with "engine" and "workload" objects.
+
+    Raises ConfigError with one violation per unknown, mistyped or
+    out-of-range field.
+    """
+    violations = field_violations(Scenario, raw, "scenario")
+    if violations:
+        raise ConfigError(violations)
+    engine = EngineConfig(**raw.get("engine", {}))
+    workload = WorkloadConfig(**raw.get("workload", {}))
+    return Scenario(**{**raw, "engine": engine, "workload": workload})

@@ -13,10 +13,11 @@ Protocol, all under one port:
   whose whitespace-separated token count is used), ``max_new_tokens``,
   optional ``adapter`` (defaults to the base model), optional ``stream``.
   Streaming responses are server-sent events, one ``data: {"token_index": i}``
-  line per token followed by ``data: [DONE]``.  Malformed bodies, and a
+  line per token followed by ``data: [DONE]``.  A malformed body, and a
   ``Content-Length`` that is not a non-negative integer, get a 400 with the
-  full violation list; a body over ``_MAX_BODY_BYTES`` gets a 413 unread;
-  unknown adapters get a 404.  A connection that stalls for
+  full violation list, each ``field: rule (got value)``; an unknown body key
+  is a violation, as in a scenario.  A body over ``_MAX_BODY_BYTES`` gets a
+  413 unread; unknown adapters get a 404.  A connection that stalls for
   ``_READ_TIMEOUT_S`` is closed without a reply.
 * ``GET /healthz`` -- liveness probe, plain ``ok``.
 * ``GET /v1/metrics`` -- the run-so-far report as JSON.
@@ -42,9 +43,17 @@ import urllib.error
 import urllib.request
 from dataclasses import dataclass, replace
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Sequence
+from typing import Annotated, Sequence
 
-from .core import BASE_ADAPTER, EngineConfig, Request, WorkloadConfig, validate_config
+from .core import (
+    BASE_ADAPTER,
+    Bound,
+    EngineConfig,
+    Request,
+    WorkloadConfig,
+    field_violations,
+    validate_config,
+)
 from .engine import EngineCore
 from .metrics import RequestRecord, RunReport, merge, summarize
 from .workload import User, sample_payload
@@ -178,46 +187,29 @@ class LiveEngine:
 # -- HTTP server ---------------------------------------------------------------
 
 
-def _request_violations(body: object) -> tuple[list[str], str, int, int, bool]:
-    """Validate a generate-request body; returns (violations, fields...)."""
-    violations: list[str] = []
+@dataclass(frozen=True)
+class _GenerateBody:
+    """A ``/v1/generate`` body; it holds exactly one of ``input_tokens`` and ``prompt``."""
+
+    max_new_tokens: Annotated[int, Bound(1)]
+    input_tokens: Annotated[int, Bound(1)] = 0
+    prompt: str = ""
+    adapter: str = BASE_ADAPTER
+    stream: bool = False
+
+
+def _body_violations(body: object) -> list[str]:
+    """Every rule a generate body breaks; none means ``_GenerateBody(**body)`` is valid."""
     if not isinstance(body, dict):
-        return ["request body must be a JSON object"], BASE_ADAPTER, 0, 0, False
-
-    adapter = body.get("adapter", BASE_ADAPTER)
-    if not isinstance(adapter, str) or not adapter:
-        violations.append("adapter must be a non-empty string")
-        adapter = BASE_ADAPTER
-
-    input_tokens = 0
-    if "input_tokens" in body:
-        raw = body["input_tokens"]
-        if isinstance(raw, int) and not isinstance(raw, bool) and raw >= 1:
-            input_tokens = raw
-        else:
-            violations.append(f"input_tokens must be an integer >= 1, got {raw!r}")
-    elif "prompt" in body:
-        raw = body["prompt"]
-        if isinstance(raw, str) and raw.split():
-            input_tokens = len(raw.split())
-        else:
-            violations.append("prompt must be a string with at least one token")
-    else:
-        violations.append("one of input_tokens or prompt is required")
-
-    max_new_tokens = 0
-    raw = body.get("max_new_tokens")
-    if isinstance(raw, int) and not isinstance(raw, bool) and raw >= 1:
-        max_new_tokens = raw
-    else:
-        violations.append(f"max_new_tokens must be an integer >= 1, got {raw!r}")
-
-    stream = body.get("stream", False)
-    if not isinstance(stream, bool):
-        violations.append("stream must be a boolean")
-        stream = False
-
-    return violations, adapter, input_tokens, max_new_tokens, stream
+        return ["body: must be a JSON object"]  # not echoed: a body may be 1 MiB
+    violations = field_violations(_GenerateBody, body, "body")
+    if ("input_tokens" in body) == ("prompt" in body):
+        violations.append("body: must hold exactly one of input_tokens or prompt")
+    if isinstance(body.get("prompt"), str) and not body["prompt"].split():
+        violations.append("prompt: must hold at least one token")
+    if body.get("adapter") == "":
+        violations.append("adapter: must not be empty")
+    return violations
 
 
 class _GatewayHandler(BaseHTTPRequestHandler):
@@ -254,7 +246,7 @@ class _GatewayHandler(BaseHTTPRequestHandler):
             return
         raw_length = (self.headers.get("Content-Length") or "0").strip()
         if not (raw_length.isascii() and raw_length.isdigit()):
-            violation = f"Content-Length must be an integer >= 0, got {raw_length!r}"
+            violation = f"Content-Length: must be an integer >= 0 (got {raw_length!r})"
             self._send_json(400, {"violations": [violation]})
             return
         digits = raw_length.lstrip("0") or "0"
@@ -268,16 +260,19 @@ class _GatewayHandler(BaseHTTPRequestHandler):
         except (ValueError, RecursionError) as error:  # also not UTF-8, or nested too deep
             self._send_json(400, {"violations": [f"body is not valid JSON: {error}"]})
             return
-        violations, adapter, input_tokens, max_new_tokens, stream = _request_violations(body)
+        violations = _body_violations(body)
         if violations:
             self._send_json(400, {"violations": violations})
             return
+        request = _GenerateBody(**body)
+        adapter = request.adapter
+        input_tokens = request.input_tokens or len(request.prompt.split())
         engine = self.server.engine
         if not engine.knows_adapter(adapter):
             self._send_json(404, {"error": f"unknown adapter: {adapter}"})
             return
-        request_id, token_queue = engine.submit(adapter, input_tokens, max_new_tokens)
-        if stream:
+        request_id, token_queue = engine.submit(adapter, input_tokens, request.max_new_tokens)
+        if request.stream:
             self._stream_response(token_queue)
         else:
             emitted = 0

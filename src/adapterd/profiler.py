@@ -450,7 +450,7 @@ def _load_csv(path: str | Path, record_type: type, layout: tuple) -> list:
     for kind, group in layout:
         spans.append((kind, len(columns), len(columns) + len(group)))
         columns += group
-    integral = [i for kind, start, end in spans if kind is int for i in range(start, end)]
+    integral = [kind is int for kind, start, end in spans for _ in range(start, end)]
     records = []
     with open(path, newline="", encoding="utf-8") as handle:
         reader = csv.DictReader(handle)
@@ -460,20 +460,17 @@ def _load_csv(path: str | Path, record_type: type, layout: tuple) -> list:
             raise ValueError(f"{path}:1: missing columns: {', '.join(missing)}")
         for row in reader:  # reader.line_num is the row's line in the file
             values = []
-            for column in columns:
+            for column, is_int in zip(columns, integral):
                 try:
-                    values.append(float(row[column]))
+                    value = float(row[column])
                 except (TypeError, ValueError):
+                    value = None
+                if value is None or not math.isfinite(value) or is_int and not value.is_integer():
+                    rule = "a number" if value is None else "an integer" if is_int else "finite"
                     raise ValueError(
-                        f"{path}:{reader.line_num}: field '{column}' is not a number: "
-                        f"{row[column]!r}"
-                    ) from None
-            for i in integral:
-                if not values[i].is_integer():  # also inf and nan
-                    raise ValueError(
-                        f"{path}:{reader.line_num}: field '{columns[i]}' is not an integer: "
-                        f"{row[columns[i]]!r}"
+                        f"{path}:{reader.line_num}: field '{column}' is not {rule}: {row[column]!r}"
                     )
+                values.append(value)
             parts = [kind(*values[start:end]) for kind, start, end in spans]
             records.append(record_type(row["name"], *parts))
     return records

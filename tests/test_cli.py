@@ -7,12 +7,13 @@ import math
 import re
 import threading
 from pathlib import Path
+from typing import get_args, get_type_hints
 
 import pytest
 
 import adapterd.gateway as gateway
 from adapterd.cli import _resolve_scenario, main
-from adapterd.core import EngineConfig, adapter_name
+from adapterd.core import Bound, EngineConfig, Scenario, WorkloadConfig, adapter_name
 from adapterd.gateway import start_server
 from adapterd.profiler import bundled_fixture_path
 
@@ -251,6 +252,36 @@ def test_simulate_checks_each_bounded_field_at_its_bound(
     assert line.startswith("error: ") and field in line
 
 
+def test_every_numeric_field_declares_a_bound():
+    # A new int or float knob cannot land unchecked, nor outside the table above.
+    # The exempt fields are checked against other fields instead.
+    exempt = {"input_tokens_max", "output_tokens_max", "seed"}
+    unbounded, declared = [], []
+    for cls in (EngineConfig, WorkloadConfig, Scenario, gateway._GenerateBody):
+        for name, hint in get_type_hints(cls, include_extras=True).items():
+            kind, *extras = get_args(hint) or (hint,)
+            bounds = [extra for extra in extras if isinstance(extra, Bound)]
+            if kind in (int, float) and not bounds and name not in exempt:
+                unbounded.append(f"{cls.__name__}.{name}")
+            if bounds and cls is not gateway._GenerateBody:
+                declared += [(name, kind, bound.lo, bound.strict) for bound in bounds]
+    assert unbounded == []
+    assert sorted(declared) == sorted(row[1:] for row in _BOUNDED)
+
+
+def test_simulate_reports_every_field_fault_of_a_file(tmp_path, capsys):
+    doc = {"wot": 1, "engine": {"gpu_slots": 0}, "workload": {"seed": 1.5, "users": 0}}
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert main(["simulate", str(path)]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "error: scenario: unknown fields ['wot']",
+        "error: gpu_slots: must be >= 1 (got 0)",
+        "error: workload.seed: must be an integer (got 1.5)",
+        "error: users: must be >= 1 (got 0)",
+    ]
+
+
 def _dataset_file(tmp_path):
     rows = [
         {"input": "alpha beta gamma", "output": "delta"},
@@ -467,6 +498,16 @@ def _cut_row(line, cells):
             _blank_line_before(3, _set_cell(3, "gpt4_score", "abc")),
             "4: field 'gpt4_score' is not a number: 'abc'",
         ),
+        (
+            "task_profiles.csv",
+            _set_cell(4, "input_len_mean", "inf"),
+            "4: field 'input_len_mean' is not finite: 'inf'",
+        ),
+        (
+            "quality_records.csv",
+            _set_cell(6, "gpt4_score", "nan"),
+            "6: field 'gpt4_score' is not finite: 'nan'",
+        ),
     ],
 )
 def test_lift_csv_errors_exit_2_with_one_line(tmp_path, capfd, fixture, edit, message):
@@ -570,6 +611,8 @@ def test_serve_out_of_range_port_exits_2(monkeypatch, capfd, flags, env, message
         (["--users", "0"], "--users: must be >= 1 (got 0)"),
         (["--duration-s", "-1"], "--duration-s: must be finite and >= 0 (got -1)"),
         (["--adapters", "-3"], "--adapters: must be >= 0 (got -3)"),
+        # An exponent-form negative number is a value, not an option.
+        (["--duration-s", "-1e-7"], "--duration-s: must be finite and >= 0 (got -1e-07)"),
     ],
 )
 def test_bench_invalid_workload_exits_2_before_any_request(capfd, flags, message):

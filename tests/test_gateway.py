@@ -403,9 +403,11 @@ def test_bad_body_answered_without_traceback(server, capfd, body):
         ({"max_new_tokens": 1}, "input_tokens"),
         ({"input_tokens": 1, "max_new_tokens": 1, "adapter": ""}, "adapter"),
         ("x" * 100_000, "body"),
+        ({"input_tokens": 1, "prompt": "a b", "max_new_tokens": 1}, "prompt"),
+        ({"input_tokens": 1, "max_new_tokens": 1, "temperature": 0.5}, "temperature"),
     ],
     ids=["bool-max-new", "float-max-new", "no-max-new", "zero-input", "empty-prompt",
-         "no-input", "empty-adapter", "string-body"],
+         "no-input", "empty-adapter", "string-body", "input-and-prompt", "unknown-key"],
 )
 def test_bad_generate_body_names_its_field(server, capfd, body, field):
     data = json.dumps(body).encode("utf-8")
