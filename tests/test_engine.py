@@ -17,14 +17,18 @@ ms, adapter switch 0.1 ms, remote adapter fetch 2000 + 200 + 5 ms):
 from __future__ import annotations
 
 import gc
+import json
+import sys
 import weakref
+from dataclasses import fields, replace
+from importlib import resources
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import adapterd.engine as engine
-from adapterd.core import EngineConfig, Request, WorkloadConfig
+from adapterd.core import EngineConfig, Request, WorkloadConfig, scenario_from_dict
 from adapterd.engine import (
     EngineCore,
     decode_gap,
@@ -32,6 +36,7 @@ from adapterd.engine import (
     run,
     single_request_timeline,
 )
+from adapterd.scheduler import DuplicateRequestError
 from adapterd.workload import user_tick
 
 TOL = 1e-9
@@ -168,6 +173,26 @@ def test_switch_overhead_charged_only_on_adapter_transition():
     assert abs(first["c"] - 168.2) < TOL
     # d is a base-model request: never charged, only batch-priced.
     assert abs(first["d"] - 178.8) < TOL
+
+
+def test_an_id_already_in_flight_is_rejected():
+    core = EngineCore(EngineConfig(), [])
+    core.schedule_submit(Request("a", "base", 100, 5, 0.0))
+    # "a" was admitted at 0 and decodes until 158.0, so its id is taken at 50.0.
+    core.schedule_submit(Request("a", "base", 100, 5, 50.0))
+    with pytest.raises(DuplicateRequestError):
+        core.run_until_idle()
+
+
+def test_a_finish_frees_its_batch_slot():
+    core = EngineCore(EngineConfig(max_batch_size=1), [])
+    core.schedule_submit(Request("a", "base", 100, 5, 0.0))
+    core.schedule_submit(Request("b", "base", 100, 5, 0.0))
+    core.run_until_idle()
+    a, b = core.records
+    # b waits for the one slot, is admitted the instant a finishes, then prefills.
+    assert b.first_token_ms > a.last_token_ms
+    assert abs(b.first_token_ms - (158.0 + 107.6)) < TOL
 
 
 def test_run_zero_duration_produces_empty_report():
@@ -363,3 +388,113 @@ def test_closed_loop_users_tile_time(engine_config, workload_config, monkeypatch
     # Only a user's last request may be missing: it was queued at the deadline.
     missing = [rid for requests in by_user.values() for rid, _ in requests if rid not in records]
     assert len(missing) == report.summary["discarded"] > 0
+
+
+# -- metamorphic relations ---------------------------------------------------
+#
+# Each relation runs the engine twice, under a change of input whose effect the
+# latency model fixes exactly, so it needs no second implementation and holds
+# whatever admission or residency order the engine uses.  Scaling by 2 is exact
+# in binary floating point away from the subnormal range; by 3 it is not.
+
+_COLD_200 = (EngineConfig(), WorkloadConfig(n_adapters=200, users=100, duration_ms=20000.0,
+                                            seed=1), False)
+
+
+def _named_run(name: str) -> tuple[EngineConfig, WorkloadConfig, bool]:
+    """A bundled scenario's single-replica run, or the cold 200-adapter run."""
+    if name == "cold-200":
+        return _COLD_200
+    text = resources.files("adapterd").joinpath("scenarios", f"{name}.json").read_text()
+    scenario = scenario_from_dict(json.loads(text))
+    return scenario.engine, scenario.workload, scenario.prewarm_adapters
+
+
+def _check_time_scaling(engine_config, workload_config, prewarm):
+    """Every ``*_ms`` field and the duration x 2: every record time x 2, nothing else moves."""
+    doubled_ms = {
+        f.name: 2 * getattr(engine_config, f.name)
+        for f in fields(EngineConfig) if f.name.endswith("_ms")
+    }
+    base = run(engine_config, workload_config, prewarm_adapters=prewarm)
+    scaled = run(
+        replace(engine_config, **doubled_ms),
+        replace(workload_config, duration_ms=2 * workload_config.duration_ms),
+        prewarm_adapters=prewarm,
+    )
+    assert scaled.records == tuple(
+        r._replace(submit_ms=2 * r.submit_ms, first_token_ms=2 * r.first_token_ms,
+                   last_token_ms=2 * r.last_token_ms)
+        for r in base.records
+    )
+    # Latencies double, throughputs halve, counts stay.
+    expected = {}
+    for key, value in base.summary.items():
+        factor = 2 if key.endswith("_ms") else 0.5 if key.endswith("tok_s") else 1
+        expected[key] = (
+            {stat: factor * v for stat, v in value.items()} if isinstance(value, dict)
+            else factor * value
+        )
+    assert scaled.summary == expected
+
+
+def _check_causality(engine_config, workload_config, prewarm):
+    """Deadlines D1 < D2: the records finished before D1 are the same."""
+    cut = workload_config.duration_ms / 2
+    late = run(engine_config, workload_config, prewarm_adapters=prewarm)
+    early = run(engine_config, replace(workload_config, duration_ms=cut), prewarm_adapters=prewarm)
+    finished = {r for r in early.records if r.last_token_ms < cut}
+    assert finished == {r for r in late.records if r.last_token_ms < cut}
+    return finished
+
+
+# No drawn hop latency is any of these.
+_OTHER_HOPS = {"t_download_ms": 777.0, "t_disk_to_cpu_ms": 55.5, "t_cpu_to_gpu_ms": 3.25}
+
+
+def _check_hop_irrelevance(engine_config, workload_config):
+    """Prewarmed, with every adapter on the GPU: hop latencies move nothing."""
+    assert workload_config.n_adapters <= engine_config.gpu_slots
+    base = run(engine_config, workload_config, prewarm_adapters=True)
+    other = run(replace(engine_config, **_OTHER_HOPS), workload_config, prewarm_adapters=True)
+    assert other.records == base.records
+    assert other.summary == base.summary
+    assert other.cache == base.cache
+
+
+@settings(max_examples=400, deadline=None)
+@given(_small_runs())
+def test_time_scaling_by_two_doubles_every_time(case):
+    engine_config, workload_config, prewarm = case
+    # A duration whose seconds are subnormal makes the aggregate throughput inexact.
+    duration = workload_config.duration_ms
+    assume(duration == 0.0 or duration / 1000.0 >= sys.float_info.min)
+    _check_time_scaling(engine_config, workload_config, prewarm)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_small_runs())
+def test_records_before_a_deadline_ignore_what_comes_after(case):
+    _check_causality(*case)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_small_runs())
+def test_hop_latencies_move_nothing_when_every_adapter_is_resident(case):
+    engine_config, workload_config, _prewarm = case
+    fitted = min(workload_config.n_adapters, engine_config.gpu_slots)
+    _check_hop_irrelevance(engine_config, replace(workload_config, n_adapters=fitted))
+
+
+# table8 is left out: one run of it costs ~0.9 s.
+@pytest.mark.parametrize("name", ["cold-200", "fairness", "table10", "table11", "table9"])
+def test_bundled_runs_scale_with_time_and_keep_causality(name):
+    engine_config, workload_config, prewarm = _named_run(name)
+    _check_time_scaling(engine_config, workload_config, prewarm)
+    assert _check_causality(engine_config, workload_config, prewarm)
+
+
+@pytest.mark.parametrize("name", ["fairness", "table10"])
+def test_bundled_prewarmed_runs_ignore_hop_latencies(name):
+    engine_config, workload_config, _prewarm = _named_run(name)
+    _check_hop_irrelevance(engine_config, workload_config)
