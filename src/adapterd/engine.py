@@ -46,7 +46,7 @@ from .core import (
     validate_config,
 )
 from .metrics import RequestRecord, RunReport, summarize
-from .scheduler import Scheduler
+from .scheduler import DuplicateRequestError, Scheduler
 from .workload import User, user_tick
 
 __all__ = [
@@ -89,7 +89,7 @@ def single_request_timeline(
 
 
 class _Flight:
-    """Mutable per-sequence decode state, carried as its prefill and token events' payload."""
+    """Decode state of one admitted sequence; the payload of its prefill and token events."""
 
     __slots__ = ("request", "emitted", "first_ms")
 
@@ -102,11 +102,13 @@ class _Flight:
 class EngineCore:
     """Event-driven replica core shared by the simulator and the live server.
 
-    The core owns the event heap, the admission scheduler, and the tiered
-    adapter cache.  Drivers push submissions with :meth:`schedule_submit` and
-    advance time with :meth:`run_until_idle` (virtual time) or
-    :meth:`process_due` (wall time).  ``on_token`` fires for every emitted
-    token; ``on_finish`` fires after a request's record is appended.
+    The core owns the event heap, the admission scheduler, the tiered adapter
+    cache and the batch: ``_flights`` holds each admitted, unfinished sequence
+    by request id, at most ``max_batch_size`` of them.  Drivers push
+    submissions with :meth:`schedule_submit` and advance time with
+    :meth:`run_until_idle` (virtual time) or :meth:`process_due` (wall time).
+    ``on_token`` fires for every emitted token; ``on_finish`` fires after a
+    request's record is appended.
     """
 
     def __init__(
@@ -127,7 +129,7 @@ class EngineCore:
         self.scheduler = Scheduler()
         self.records: list[RequestRecord] = []
         self.submitted = 0
-        self.clock = 0.0
+        self._flights: dict[str, _Flight] = {}
         self._heap: list[tuple[float, int, int, object]] = []
         self._counter = itertools.count()
         self._streaming_count = 0
@@ -159,7 +161,6 @@ class EngineCore:
         return heap[0][0] if heap else None
 
     def _dispatch(self, time_: float, prio: int, payload: object) -> None:
-        self.clock = time_
         if prio == _PRIO_TOKEN:
             self._handle_token(payload, time_)
         elif prio == _PRIO_PREFILL:
@@ -177,6 +178,8 @@ class EngineCore:
     # -- handlers ------------------------------------------------------------
 
     def _handle_submit(self, request: Request, now: float) -> None:
+        if request.id in self._flights:
+            raise DuplicateRequestError(request.id)
         self.scheduler.enqueue(request)
         self.submitted += 1
         self._request_plan(now)
@@ -185,7 +188,7 @@ class EngineCore:
         self._plan_times.discard(now)
         self.cache.on_clock(now)
         config = self._config
-        free = config.max_batch_size - self.scheduler.in_flight_count
+        free = config.max_batch_size - len(self._flights)
         admitted = False
         if now < self._deadline and free > 0 and self.scheduler.has_backlog():
             self._step += 1
@@ -193,11 +196,8 @@ class EngineCore:
                 self.cache, now, free, config.admission_per_step, self._step
             )
             for request in plan.admitted:
-                self._push(
-                    now + prefill_time(config, request.input_tokens),
-                    _PRIO_PREFILL,
-                    _Flight(request),
-                )
+                flight = self._flights[request.id] = _Flight(request)
+                self._push(now + prefill_time(config, request.input_tokens), _PRIO_PREFILL, flight)
                 admitted = True
         next_ready = self.cache.next_ready_at()
         if next_ready is not None:
@@ -244,7 +244,7 @@ class EngineCore:
             counts[request.adapter] -= 1
             if counts[request.adapter] == 0:
                 del counts[request.adapter]
-        self.scheduler.on_complete(request.id)
+        del self._flights[request.id]
         record = RequestRecord(
             request.id,
             request.adapter,
@@ -262,14 +262,20 @@ class EngineCore:
 
     # -- reporting -----------------------------------------------------------
 
-    def report(self, config: dict, duration_ms: float, discarded: int) -> RunReport:
-        """The run so far over `duration_ms`, with `discarded` requests dropped unserved."""
+    def report(
+        self, workload: WorkloadConfig | None, duration_ms: float, discarded: int
+    ) -> RunReport:
+        """The run so far over `duration_ms`, with `discarded` requests dropped unserved.
+
+        The config echo holds this engine's config and `workload` (None for a live run).
+        """
+        workload_echo = None if workload is None else workload.to_dict()
         summary = summarize(self.records, duration_ms)
         summary["submitted"] = self.submitted
         summary["completed"] = len(self.records)
         summary["discarded"] = discarded
         return RunReport(
-            config=config,
+            config={"engine": self._config.to_dict(), "workload": workload_echo},
             summary=summary,
             cache=self.cache.residency_stats(),
             records=tuple(self.records),
@@ -326,6 +332,4 @@ def run(
     # finished engine is freed by reference counting, not by a later cycle scan.
     core._on_finish = None
     discarded = core.scheduler.drain_queued()
-
-    config = {"engine": engine_config.to_dict(), "workload": workload_config.to_dict()}
-    return core.report(config, deadline, len(discarded))
+    return core.report(workload_config, deadline, len(discarded))

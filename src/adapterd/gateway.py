@@ -75,8 +75,6 @@ _MAX_BODY_BYTES = 1 << 20
 # http.server quietly drops a connection whose socket read or write stalls this long.
 _READ_TIMEOUT_S = 10.0
 
-_FINISHED = object()
-
 
 # -- replica rotation --------------------------------------------------------
 
@@ -108,7 +106,6 @@ class LiveEngine:
         *,
         prewarm: bool = False,
     ) -> None:
-        self._config = config
         self._adapters = frozenset(adapters)
         self._cond = threading.Condition()
         self._core = EngineCore(
@@ -129,7 +126,7 @@ class LiveEngine:
         self._thread.start()
 
     def now_ms(self) -> float:
-        return (time.monotonic() - self._origin) * 1000.0
+        return _now_ms(self._origin)
 
     def knows_adapter(self, adapter: str) -> bool:
         return adapter == BASE_ADAPTER or adapter in self._adapters
@@ -139,8 +136,8 @@ class LiveEngine:
     ) -> tuple[str, queue.SimpleQueue]:
         """Enqueue a request; returns its id and the token-event queue.
 
-        The queue yields one token index per emitted token and then a
-        final sentinel (compare against queue items with ``is``).
+        The queue yields one token index (an int) per emitted token and then
+        the request's finished :class:`RequestRecord`.
         """
         with self._cond:
             request_id = f"live{next(self._ids):06d}"
@@ -155,8 +152,7 @@ class LiveEngine:
     def report(self) -> RunReport:
         """Snapshot the run so far as a report over the elapsed wall time."""
         with self._cond:
-            config = {"engine": self._config.to_dict(), "workload": None}
-            return self._core.report(config, self.now_ms(), 0)
+            return self._core.report(None, self.now_ms(), 0)
 
     def stop(self) -> None:
         with self._cond:
@@ -174,7 +170,7 @@ class LiveEngine:
     def _emit_finish(self, record: RequestRecord) -> None:
         token_queue = self._queues.pop(record.request_id, None)
         if token_queue is not None:
-            token_queue.put(_FINISHED)
+            token_queue.put(record)
 
     def _dispatch_loop(self) -> None:
         with self._cond:
@@ -275,19 +271,15 @@ class _GatewayHandler(BaseHTTPRequestHandler):
         if request.stream:
             self._stream_response(token_queue)
         else:
-            emitted = 0
-            while True:
-                item = token_queue.get()
-                if item is _FINISHED:
-                    break
-                emitted += 1
+            while not isinstance(item := token_queue.get(), RequestRecord):
+                pass
             self._send_json(
                 200,
                 {
                     "request_id": request_id,
                     "adapter": adapter,
                     "input_tokens": input_tokens,
-                    "output_tokens": emitted,
+                    "output_tokens": item.output_tokens_emitted,
                 },
             )
 
@@ -296,15 +288,12 @@ class _GatewayHandler(BaseHTTPRequestHandler):
         self.send_header("Content-Type", "text/event-stream")
         self.send_header("Cache-Control", "no-store")
         self.end_headers()
-        while True:
-            item = token_queue.get()
-            if item is _FINISHED:
-                self.wfile.write(b"data: [DONE]\n\n")
-                self.wfile.flush()
-                return
+        while not isinstance(item := token_queue.get(), RequestRecord):
             event = json.dumps({"token_index": item})
             self.wfile.write(f"data: {event}\n\n".encode("utf-8"))
             self.wfile.flush()
+        self.wfile.write(b"data: [DONE]\n\n")
+        self.wfile.flush()
 
 
 class LiveServer(ThreadingHTTPServer):

@@ -6,7 +6,9 @@ request per resident adapter per sweep, repeating until the admission budget
 or the free batch slots run out. Non-resident adapters encountered during the
 sweep get their background load triggered once and are skipped for this plan.
 The policy is deterministic and starvation-free: an adapter that contributed
-this step moves to the back of the next step's order.
+this step moves to the back of the next step's order.  The scheduler holds
+only what waits: the queues, their order and the queued ids.  An admitted
+request leaves it; the engine holds the batch and caps its size.
 
 The order lives in a heap holding one ``(last_served, name)`` entry per
 adapter with a non-empty queue.  The first sweep pops entries only as far as
@@ -28,10 +30,6 @@ class DuplicateRequestError(ValueError):
     pass
 
 
-class UnknownRequestError(KeyError):
-    pass
-
-
 @dataclass(frozen=True)
 class AdmissionPlan:
     """Requests admitted this step; each decodes under its own ``request.adapter``."""
@@ -45,10 +43,9 @@ class Scheduler:
         self._order: list[tuple[int, str]] = []
         self._last_served: dict[str, int] = {}
         self._queued_ids: set[str] = set()
-        self._in_flight: set[str] = set()
 
     def enqueue(self, request: Request) -> None:
-        if request.id in self._queued_ids or request.id in self._in_flight:
+        if request.id in self._queued_ids:
             raise DuplicateRequestError(request.id)
         adapter = request.adapter
         queue = self._queues.get(adapter)
@@ -94,7 +91,6 @@ class Scheduler:
                     progress = True
         for request in admitted:
             self._queued_ids.discard(request.id)
-            self._in_flight.add(request.id)
         last_served = self._last_served
         for adapter in served:
             last_served[adapter] = step
@@ -105,17 +101,8 @@ class Scheduler:
                 del queues[adapter]
         return AdmissionPlan(tuple(admitted))
 
-    def on_complete(self, request_id: str) -> None:
-        if request_id not in self._in_flight:
-            raise UnknownRequestError(request_id)
-        self._in_flight.remove(request_id)
-
     def has_backlog(self) -> bool:
         return bool(self._queued_ids)
-
-    @property
-    def in_flight_count(self) -> int:
-        return len(self._in_flight)
 
     def drain_queued(self) -> list[Request]:
         """Remove and return every still-queued request (end-of-run discard)."""

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from adapterd.cache import AdapterCache, CacheOutcome
 from adapterd.core import BASE_ADAPTER, EngineConfig, Request, adapter_name
-from adapterd.scheduler import DuplicateRequestError, Scheduler, UnknownRequestError
+from adapterd.scheduler import DuplicateRequestError, Scheduler
 
 
 def _req(rid, adapter, submit=0.0):
@@ -111,22 +111,6 @@ def test_plan_mask_binds_request_to_own_adapter():
     ]
 
 
-def test_on_complete_lifecycle():
-    sched = Scheduler()
-    sched.enqueue(_req("r1", adapter_name(0)))
-    sched.plan_admission(_warm_cache(), 0.0, free_slots=8, budget=8, step=0)
-    assert sched.in_flight_count == 1
-    sched.on_complete("r1")
-    assert sched.in_flight_count == 0
-    with pytest.raises(UnknownRequestError):
-        sched.on_complete("r1")
-
-
-def test_on_complete_unknown_id():
-    with pytest.raises(UnknownRequestError):
-        Scheduler().on_complete("ghost")
-
-
 def test_interleaved_lifecycle_replay():
     sched = Scheduler()
     cache = _warm_cache()
@@ -135,12 +119,8 @@ def test_interleaved_lifecycle_replay():
     sched.enqueue(_req("r3", adapter_name(0)))
     plan = sched.plan_admission(cache, 0.0, free_slots=2, budget=2, step=0)
     assert [req.id for req in plan.admitted] == ["r1", "r2"]
-    sched.on_complete("r1")
     plan = sched.plan_admission(cache, 1.0, free_slots=2, budget=2, step=1)
     assert [req.id for req in plan.admitted] == ["r3"]
-    sched.on_complete("r2")
-    sched.on_complete("r3")
-    assert sched.in_flight_count == 0
     assert not sched.has_backlog()
 
 
@@ -161,7 +141,6 @@ _OPS = st.lists(
     st.one_of(
         st.tuples(st.just("enqueue"), st.sampled_from(_ADAPTERS)),
         st.tuples(st.just("plan"), st.integers(0, 3), st.integers(1, 3)),
-        st.tuples(st.just("complete"), st.integers(0, 50)),
         st.tuples(st.just("drain")),
     ),
     min_size=15,
@@ -178,7 +157,6 @@ def test_has_backlog_iff_some_request_is_queued(ops):
         EngineConfig(gpu_slots=2, cpu_slots=1), [adapter_name(i) for i in range(3)], prewarm=False
     )
     queued: set[str] = set()
-    in_flight: list[str] = []
     for step, op in enumerate(ops):
         now = 1000.0 * step
         if op[0] == "enqueue":
@@ -190,9 +168,6 @@ def test_has_backlog_iff_some_request_is_queued(ops):
             plan = sched.plan_admission(cache, now, free_slots=op[1], budget=op[2], step=step)
             for request in plan.admitted:
                 queued.remove(request.id)
-                in_flight.append(request.id)
-        elif op[0] == "complete" and in_flight:
-            sched.on_complete(in_flight.pop(op[1] % len(in_flight)))
         elif op[0] == "drain":
             assert {request.id for request in sched.drain_queued()} == queued
             queued.clear()
@@ -279,7 +254,6 @@ _SWEEP_OPS = st.lists(
             st.integers(0, 40),
             st.frozensets(st.sampled_from(_MANY_ADAPTERS)),
         ),
-        st.tuples(st.just("complete"), st.integers(0, 50)),
         st.tuples(st.just("drain")),
     ),
     min_size=20,
@@ -293,7 +267,6 @@ def test_heap_sweep_matches_the_sorted_reference(ops):
     """Admitted requests, touch order and leftovers equal the sorted sweep's."""
     sched = Scheduler()
     reference = _ReferenceScheduler()
-    in_flight: list[str] = []
     for index, op in enumerate(ops):
         if op[0] == "enqueue":
             request = _req(f"r{index}", op[1])
@@ -306,9 +279,6 @@ def test_heap_sweep_matches_the_sorted_reference(ops):
             expected = reference.plan_admission(reference_cache, 0.0, free_slots, budget, step)
             assert [r.id for r in plan.admitted] == [r.id for r in expected]
             assert cache.touches == reference_cache.touches
-            in_flight.extend(r.id for r in plan.admitted)
-        elif op[0] == "complete" and in_flight:
-            sched.on_complete(in_flight.pop(op[1] % len(in_flight)))
         elif op[0] == "drain":
             leftovers = sched.drain_queued()
             assert [r.id for r in leftovers] == [r.id for r in reference.drain_queued()]
