@@ -106,6 +106,15 @@ class ConfigError(ValueError):
 
 _JSON_KINDS = {int: "an integer", float: "a number", str: "a string", bool: "a boolean"}
 
+# Long enough for a 400-digit JSON integer, short enough that a 1 MiB input is
+# never quoted back whole.
+_ECHO_CHARS = 500
+
+
+def clip(text: str) -> str:
+    """``text`` as an error quotes it back: its first ``_ECHO_CHARS`` characters, then ``...``."""
+    return text if len(text) <= _ECHO_CHARS else text[:_ECHO_CHARS] + "..."
+
 
 @functools.cache
 def _field_rules(cls: type) -> tuple[dict[str, tuple[type, Bound | None]], frozenset[str]]:
@@ -126,15 +135,16 @@ def field_violations(cls: type, values: Any, where: str) -> list[str]:
     nested configuration an object, checked the same way under its own name.
     A key or type violation names ``where`` and the field; a bound violation
     names the field alone, since it reads the same from a file, a flag or a
-    constructor.
+    constructor.  Each quoted value and the unknown-key list go through
+    :func:`clip`.
     """
     if not isinstance(values, dict):
-        return [f"{where}: must be an object (got {values!r})"]
+        return [f"{where}: must be an object (got {clip(repr(values))})"]
     rules, required = _field_rules(cls)
     violations = []
     unknown = sorted(set(values) - rules.keys())
     if unknown:
-        violations.append(f"{where}: unknown fields {unknown}")
+        violations.append(f"{where}: unknown fields {clip(repr(unknown))}")
     violations += [f"{where}.{name}: required" for name in sorted(required - set(values))]
     for name, value in values.items():
         if name not in rules:
@@ -144,7 +154,8 @@ def field_violations(cls: type, values: Any, where: str) -> list[str]:
         if is_dataclass(kind):
             violations += field_violations(kind, value, name)
         elif not isinstance(value, accepted) or isinstance(value, bool) != (kind is bool):
-            violations.append(f"{where}.{name}: must be {_JSON_KINDS[kind]} (got {value!r})")
+            got = clip(repr(value))
+            violations.append(f"{where}.{name}: must be {_JSON_KINDS[kind]} (got {got})")
         elif bound is not None:
             try:
                 finite = kind is int or math.isfinite(value)
@@ -152,7 +163,7 @@ def field_violations(cls: type, values: Any, where: str) -> list[str]:
                 finite = False
             if not (finite and (value > bound.lo if bound.strict else value >= bound.lo)):
                 rule = ("finite and " if kind is float else "") + (">" if bound.strict else ">=")
-                violations.append(f"{name}: must be {rule} {bound.lo} (got {value!r})")
+                violations.append(f"{name}: must be {rule} {bound.lo} (got {clip(repr(value))})")
     return violations
 
 

@@ -17,7 +17,8 @@ Protocol, all under one port:
   ``Content-Length`` that is not a non-negative integer, get a 400 with the
   full violation list, each ``field: rule (got value)``; an unknown body key
   is a violation, as in a scenario.  A body over ``_MAX_BODY_BYTES`` gets a
-  413 unread; unknown adapters get a 404.  A connection that stalls for
+  413 unread; unknown adapters get a 404.  Every reply quotes an input back
+  cut to 500 characters (``core.clip``).  A connection that stalls for
   ``_READ_TIMEOUT_S`` is closed without a reply.
 * ``GET /healthz`` -- liveness probe, plain ``ok``.
 * ``GET /v1/metrics`` -- the run-so-far report as JSON.
@@ -51,6 +52,7 @@ from .core import (
     EngineConfig,
     Request,
     WorkloadConfig,
+    clip,
     field_violations,
     validate_config,
 )
@@ -234,15 +236,15 @@ class _GatewayHandler(BaseHTTPRequestHandler):
         elif self.path == "/v1/metrics":
             self._send_json(200, self.server.engine.report().to_json_dict())
         else:
-            self._send_json(404, {"error": f"no such path: {self.path}"})
+            self._send_json(404, {"error": f"no such path: {clip(self.path)}"})
 
     def do_POST(self) -> None:  # noqa: N802 (http.server API)
         if self.path != "/v1/generate":
-            self._send_json(404, {"error": f"no such path: {self.path}"})
+            self._send_json(404, {"error": f"no such path: {clip(self.path)}"})
             return
         raw_length = (self.headers.get("Content-Length") or "0").strip()
         if not (raw_length.isascii() and raw_length.isdigit()):
-            violation = f"Content-Length: must be an integer >= 0 (got {raw_length!r})"
+            violation = f"Content-Length: must be an integer >= 0 (got {clip(repr(raw_length))})"
             self._send_json(400, {"violations": [violation]})
             return
         digits = raw_length.lstrip("0") or "0"
@@ -265,7 +267,7 @@ class _GatewayHandler(BaseHTTPRequestHandler):
         input_tokens = request.input_tokens or len(request.prompt.split())
         engine = self.server.engine
         if not engine.knows_adapter(adapter):
-            self._send_json(404, {"error": f"unknown adapter: {adapter}"})
+            self._send_json(404, {"error": f"unknown adapter: {clip(adapter)}"})
             return
         request_id, token_queue = engine.submit(adapter, input_tokens, request.max_new_tokens)
         if request.stream:

@@ -15,6 +15,7 @@ from adapterd.core import (
     Rng,
     WorkloadConfig,
     adapter_name,
+    clip,
     config_violations,
     rng_next_uniform,
     rng_split,
@@ -224,3 +225,11 @@ def test_scenario_rejects_unknown_keys():
         scenario_from_dict({"engine": {"warp_speed": 9}, "workload": {}})
     with pytest.raises(ValueError, match=r"workload: unknown fields \['task_profiles'\]"):
         scenario_from_dict({"workload": {"task_profiles": []}})
+
+
+def test_clip_keeps_500_characters_and_cuts_the_rest():
+    assert clip("") == ""
+    assert clip("x" * 500) == "x" * 500
+    assert clip("x" * 501) == "x" * 500 + "..."
+    # A 400-digit JSON integer, the longest value a pinned message quotes, is kept whole.
+    assert clip(repr(-(10**400))) == repr(-(10**400))

@@ -330,18 +330,25 @@ def test_live_averages_match_virtual_model():
     assert live_avg == pytest.approx(virtual_avg, rel=0.10)
 
 
-def _raw_post(port, content_length, body=b"", timeout=5.0):
-    """Send a POST with the given Content-Length and body; return the whole reply."""
+def _raw_request(port, request, timeout=5.0):
+    """Send the raw request bytes; return the whole reply."""
     with socket.create_connection(("127.0.0.1", port), timeout=timeout) as sock:
-        sock.sendall(
-            b"POST /v1/generate HTTP/1.0\r\nContent-Type: application/json\r\n"
-            + f"Content-Length: {content_length}\r\n\r\n".encode("ascii")
-            + body
-        )
+        sock.sendall(request)
         reply = b""
         while chunk := sock.recv(4096):
             reply += chunk
     return reply
+
+
+def _raw_post(port, content_length, body=b"", timeout=5.0):
+    """Send a POST with the given Content-Length and body; return the whole reply."""
+    return _raw_request(
+        port,
+        b"POST /v1/generate HTTP/1.0\r\nContent-Type: application/json\r\n"
+        + f"Content-Length: {content_length}\r\n\r\n".encode("ascii")
+        + body,
+        timeout,
+    )
 
 
 @pytest.mark.parametrize(
@@ -405,9 +412,13 @@ def test_bad_body_answered_without_traceback(server, capfd, body):
         ("x" * 100_000, "body"),
         ({"input_tokens": 1, "prompt": "a b", "max_new_tokens": 1}, "prompt"),
         ({"input_tokens": 1, "max_new_tokens": 1, "temperature": 0.5}, "temperature"),
+        # Oversized values: the reply quotes each one cut short.
+        ({"input_tokens": 1, "max_new_tokens": [0] * 200_000}, "max_new_tokens"),
+        ({"input_tokens": 1, "max_new_tokens": 1, **{f"k{i}": 0 for i in range(80_000)}}, "k0"),
     ],
     ids=["bool-max-new", "float-max-new", "no-max-new", "zero-input", "empty-prompt",
-         "no-input", "empty-adapter", "string-body", "input-and-prompt", "unknown-key"],
+         "no-input", "empty-adapter", "string-body", "input-and-prompt", "unknown-key",
+         "600kB-list-max-new", "80000-unknown-keys"],
 )
 def test_bad_generate_body_names_its_field(server, capfd, body, field):
     data = json.dumps(body).encode("utf-8")
@@ -416,6 +427,31 @@ def test_bad_generate_body_names_its_field(server, capfd, body, field):
     assert len(reply) < 1000  # a body is never echoed back whole
     [violation] = json.loads(reply)["violations"]
     assert field in violation
+    assert capfd.readouterr().err == ""
+
+
+_HUGE_ADAPTER = json.dumps(
+    {"adapter": "a" * 900_000, "input_tokens": 1, "max_new_tokens": 1}
+).encode("utf-8")
+
+
+@pytest.mark.parametrize(
+    ("raw", "status", "message"),
+    [
+        (b"POST /v1/generate HTTP/1.0\r\nContent-Length: %d\r\n\r\n" % len(_HUGE_ADAPTER)
+         + _HUGE_ADAPTER, 404, "unknown adapter: aaa"),
+        (b"GET /" + b"p" * 60_000 + b" HTTP/1.0\r\n\r\n", 404, "no such path: /ppp"),
+        (b"POST /v1/generate HTTP/1.0\r\nContent-Length: " + b"x" * 60_000 + b"\r\n\r\n",
+         400, "Content-Length: must be"),
+    ],
+    ids=["900kB-adapter", "60kB-path", "60kB-content-length"],
+)
+def test_an_oversized_input_is_quoted_back_cut(server, capfd, raw, status, message):
+    head, _, reply = _raw_request(server.port, raw).partition(b"\r\n\r\n")
+    assert head.split()[1] == str(status).encode("ascii")
+    assert len(reply) < 1000
+    payload = json.loads(reply)
+    assert (payload["violations"][0] if status == 400 else payload["error"]).startswith(message)
     assert capfd.readouterr().err == ""
 
 
