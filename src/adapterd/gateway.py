@@ -40,7 +40,6 @@ import os
 import queue
 import threading
 import time
-import urllib.error
 import urllib.request
 from dataclasses import dataclass, replace
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer

@@ -76,22 +76,35 @@ def test_lift_loads_numpy_and_matches_in_process(capsys):
     assert out == capsys.readouterr().out
 
 
+def _dotted(node: ast.AST) -> str | None:
+    """``a.b.c`` for a chain of attribute reads on a name, else None."""
+    if isinstance(node, ast.Attribute):
+        base = _dotted(node.value)
+        return None if base is None else f"{base}.{node.attr}"
+    return node.id if isinstance(node, ast.Name) else None
+
+
 def _unused_imports(source: str) -> list[str]:
-    """Names the module imports but never reads and does not list in ``__all__``."""
+    """Names the module imports but never reads and does not list in ``__all__``.
+
+    ``import a.b`` binds ``a`` but counts as used only where a chain starting
+    with ``a.b`` is read, so reading ``a.c`` does not hide it.
+    """
     tree = ast.parse(source)
     imported = []
     exported = set()
     for node in ast.walk(tree):
-        if isinstance(node, ast.Import):
-            imported += [alias.asname or alias.name.split(".")[0] for alias in node.names]
-        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+        if isinstance(node, ast.Import) or (
+            isinstance(node, ast.ImportFrom) and node.module != "__future__"
+        ):
             imported += [alias.asname or alias.name for alias in node.names]
         elif isinstance(node, ast.Assign) and any(
             isinstance(target, ast.Name) and target.id == "__all__" for target in node.targets
         ):
             exported |= set(ast.literal_eval(node.value))
-    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
-    return [name for name in imported if name not in used | exported]
+    # Every chain and, since ast.walk visits the inner nodes too, each of its prefixes.
+    read = {_dotted(node) for node in ast.walk(tree)}
+    return [name for name in imported if name not in read | exported]
 
 
 @pytest.mark.parametrize(
@@ -108,4 +121,9 @@ def test_unused_import_check_sees_plain_from_and_exported_names():
         "import os.path\nimport json as j\nfrom x import a, b as c\nfrom y import d\n"
         "__all__ = ['d']\nprint(c)\n"
     )
-    assert _unused_imports(source) == ["os", "j", "a"]
+    assert _unused_imports(source) == ["os.path", "j", "a"]
+
+
+def test_unused_import_check_sees_a_dotted_import_past_its_sibling():
+    source = "import urllib.error\nimport urllib.request\nurllib.request.urlopen\n"
+    assert _unused_imports(source) == ["urllib.error"]
