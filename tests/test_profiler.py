@@ -404,6 +404,39 @@ def test_fixture_compressibility_correlates_with_base_score():
     assert value == pytest.approx(0.4008, abs=1e-3)
 
 
+def _profiles_csv(tmp_path, constant_column):
+    """The bundled profile CSV, or a copy with ``constant_column`` set to 1 in every row."""
+    path = bundled_fixture_path("task_profiles.csv")
+    if constant_column is None:
+        return path
+    rows = [line.split(",") for line in path.read_text(encoding="utf-8").splitlines()]
+    index = rows[0].index(constant_column)
+    for row in rows[1:]:
+        row[index] = "1"
+    copy = tmp_path / "task_profiles.csv"
+    copy.write_text("".join(",".join(row) + "\n" for row in rows), encoding="utf-8")
+    return copy
+
+
+@pytest.mark.parametrize("constant_column", [None, "output_len_std"], ids=["bundled", "constant"])
+def test_pearson_r_matches_numpy_corrcoef(tmp_path, constant_column):
+    """Each feature's r with each metric is numpy's, and None exactly where the feature is constant."""
+    profiles = load_task_profiles(_profiles_csv(tmp_path, constant_column))
+    quality = load_quality_records(bundled_fixture_path("quality_records.csv"))
+    report = correlation_report(profiles, quality)
+    pairs = join_tasks(profiles, quality)
+    features = np.array([profile_features(p) for p, _ in pairs])
+    for j, metric in enumerate(QUALITY_METRICS):
+        y = np.array([getattr(q, metric) for _, q in pairs])
+        for i, feature in enumerate(PROFILE_FEATURES):
+            got = report.matrix[i][j]
+            if np.ptp(features[:, i]) == 0:
+                assert got is None, (feature, metric)
+            else:
+                want = np.corrcoef(features[:, i], y)[0, 1]
+                assert got == pytest.approx(want, abs=1e-12), (feature, metric)
+
+
 _EXPECTED_RMSE = {
     # target: (without avg_base_score feature, with it), frozen from an
     # independent numpy fit over the bundled fixture.
