@@ -39,6 +39,7 @@ from .profiler import (
     load_quality_records,
     load_task_profiles,
     loo_rmse,
+    pearson,
     profile_features,
 )
 
@@ -216,6 +217,7 @@ def cmd_lift(args: argparse.Namespace) -> int:
         variants.append(("profile features + avg_base_score", "_with_base_score", augmented, names))
     models = [fit_lift_model(rows, y, names, args.target) for _, _, rows, names in variants]
     model = models[0]
+    correlations = dict(zip(PROFILE_FEATURES, (pearson(column, y) for column in zip(*matrix))))
 
     lines = [f"target: {args.target}", f"tasks: {len(y)}"]
     result: dict = {
@@ -223,6 +225,7 @@ def cmd_lift(args: argparse.Namespace) -> int:
         "n_tasks": len(y),
         "weights": dict(zip(model.feature_names, model.weights)),
         "intercept": model.intercept,
+        "pearson_r": correlations,
     }
     for (label, suffix, _, _), fitted in zip(variants, models):
         lines.append(f"in-sample RMSE ({label}): {fitted.train_rmse:.4f}")
@@ -238,6 +241,9 @@ def cmd_lift(args: argparse.Namespace) -> int:
     for feature, weight in zip(model.feature_names, model.weights):
         lines.append(f"  {feature:<24}{weight:+.4f}")
     lines.append(f"  {'intercept':<24}{model.intercept:+.4f}")
+    lines.append(f"pearson r with {args.target} (profile features):")
+    for feature, r in correlations.items():
+        lines.append(f"  {feature:<24}" + ("n/a" if r is None else f"{r:+.4f}"))
 
     sys.stdout.write("\n".join(lines) + "\n")
     if args.output is not None:

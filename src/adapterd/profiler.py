@@ -2,10 +2,11 @@
 
 Given a supervised text dataset, this module computes cheap structural
 heuristics -- token-length distributions, input/output ROUGE-L similarity,
-and DEFLATE compressibility -- and relates them to model-quality metrics via
-correlation analysis and ordinary least squares on z-scored features.  The
-regression predicts how much quality lift adapter-based fine-tuning is likely
-to deliver for a task before any training is run.
+and DEFLATE compressibility.  ``adapterd lift`` relates them to one
+model-quality metric: the Pearson r of each feature with it, and ordinary
+least squares on z-scored features.  The regression predicts how much quality
+lift adapter-based fine-tuning is likely to deliver for a task before any
+training is run.
 
 Conventions, applied consistently: whitespace tokenization (lowercased for
 ROUGE), population standard deviation, and nearest-rank percentiles.
@@ -30,7 +31,6 @@ if TYPE_CHECKING:
     import numpy as np
 
 __all__ = [
-    "CorrelationReport",
     "LenStats",
     "LiftModel",
     "MeanStd",
@@ -41,7 +41,6 @@ __all__ = [
     "bundled_fixture_path",
     "compressibility",
     "compute_profile",
-    "correlation_report",
     "fit_lift_model",
     "join_tasks",
     "load_examples_jsonl",
@@ -367,19 +366,6 @@ def loo_rmse(
     return float(np.sqrt(np.mean(loo_residual**2)))
 
 
-# ---------------------------------------------------------------------------
-# Correlation report
-
-
-@dataclass(frozen=True)
-class CorrelationReport:
-    """Cross-correlation of every profile feature with every quality metric."""
-
-    feature_names: tuple[str, ...]
-    metric_names: tuple[str, ...]
-    matrix: list[list[float | None]]
-
-
 def join_tasks(
     profiles: Sequence[TaskProfile], quality: Sequence[QualityRecord]
 ) -> list[tuple[TaskProfile, QualityRecord]]:
@@ -393,24 +379,6 @@ def join_tasks(
             f"task names differ: only in profiles {only_profiles}, only in quality {only_quality}"
         )
     return [(profile_by_name[name], quality_by_name[name]) for name in sorted(profile_by_name)]
-
-
-def correlation_report(
-    profiles: Sequence[TaskProfile], quality: Sequence[QualityRecord]
-) -> CorrelationReport:
-    pairs = join_tasks(profiles, quality)
-    feature_rows = [profile_features(profile) for profile, _ in pairs]
-    matrix: list[list[float | None]] = []
-    for i, _feature in enumerate(PROFILE_FEATURES):
-        xs = [row[i] for row in feature_rows]
-        row_out: list[float | None] = []
-        for metric in QUALITY_METRICS:
-            ys = [getattr(record, metric) for _, record in pairs]
-            row_out.append(pearson(xs, ys))
-        matrix.append(row_out)
-    return CorrelationReport(
-        feature_names=PROFILE_FEATURES, metric_names=QUALITY_METRICS, matrix=matrix
-    )
 
 
 # ---------------------------------------------------------------------------

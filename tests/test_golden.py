@@ -30,7 +30,11 @@ float exactly as it was.
 ``LIFT_GOLDEN`` pins ``adapterd lift`` on the bundled task-profile and
 quality fixtures, for every target in both modes: the SHA-256 of the
 ``--output`` JSON and of stdout.  It fixes how the CSV readers map columns
-onto the feature vector, as well as the fits themselves.
+onto the feature vector, as well as the fits themselves.  Its 28 hashes
+were re-pinned when ``lift`` gained the Pearson block after its weights and
+the ``pearson_r`` JSON key.  With stdout cut at ``pearson r with`` and the
+JSON re-dumped (``sort_keys``, ``indent=2``) without that key, every output
+hashed to the table as it stood before, so nothing else moved.
 
 The 14 JSON hashes then pinned (``GOLDEN`` and the first five
 ``EVICTION_GOLDEN`` cases) were re-pinned when
@@ -224,60 +228,60 @@ def test_profile_output_hash_is_pinned(tmp_path, capsys):
 # (target, mode) -> (SHA-256 of the --output JSON, SHA-256 of stdout)
 LIFT_GOLDEN = {
     ("gpt4_score", "insample"): (
-        "d0d7e9a4280bbe77710e4475e81d8b77c6bb149bbb88c071bd05aad42a25764e",
-        "e99999c85080cd66d11e91500d16f02e1942ea274523fe496c0098bc806b1180",
+        "b698ae49bf9513bb34e4dcf64a68440df2c9f45ba42b5832add7aef939577640",
+        "dfc2756f9091f4a89c06d41b09a41c60e45afc63394e46bf9c456dcf63f030ed",
     ),
     ("gpt4_score", "loo"): (
-        "a3b0f8dd8dd9f3d05adea79ff23cd22b731f7242771ea605aa7b4ea05680a860",
-        "63f28806037a1bb823bde23d6ff9a3fa09c34a73902d592938de3fded5a3f42b",
+        "fe49fce5b6abca21299989f0b41ba07a81e25ef9ba8c292e4d4fdedaa9657b61",
+        "59e22ae037975b3e14b44dcf2532f5e50161587b29d80962bd05070a43595589",
     ),
     ("max_gpt4_lift", "insample"): (
-        "e997e2cee6ad07f81cc59cd88da2665a147641b81a9a2da705087cf6a2343725",
-        "bcbaed9e0c45dc1460488e09c76a0bc6508a521942e5fd0a2fedb829fa980acf",
+        "eca9ade6b910d565ef513fd23e6265757394558a4d2c3a323591414dbf871b5b",
+        "562348dbb351ddebd6d47407e46011d4a8150bf564d0356fd126053b4fa43144",
     ),
     ("max_gpt4_lift", "loo"): (
-        "209904ce6b84e2bedc7cdc4dbb5973fe3011f84a17929af43678bf749fdefc80",
-        "2f3bf9b3d40573e6038abae6a0951eb6fb7fca72a6830de2713dacbe06290a14",
+        "f05b052f7965781e7c3930e3ba6c706bcb8af77a33e61dffe5b6081a292567ab",
+        "4c2d53a8cd23317bc867c3dbcfc133d2eca881e16fe561ffd65b2f3d6850a04f",
     ),
     ("avg_base_lift", "insample"): (
-        "5e6cc18c4c72f77e56e7f132c6aabd974417b2531eeb14752967d68c576b0b95",
-        "3a0ca6a03e563ad0c80159528fb7ef38c1003db79a8a26ab110a10c37f34bfce",
+        "e1db768d645dcae21022a4bbb6f50edab61df7d78e2acbd87087cbd617c99065",
+        "ebcdef24787dcc1a9d60c37511f56daf9767bc9d8abbf6f596c84ccc44c7e054",
     ),
     ("avg_base_lift", "loo"): (
-        "04cbf7292a1c8c7bb99796b89902c174dada47dd1fd8fdd07e275057043d35c0",
-        "057e981e09d29601a61f1de8773a9a71a19e52d6ce26c2844d6a1b5b0d916528",
+        "96370ca8b5dd5b5e0e2919d5094bba9e1408cb59154d656dbc5418088738ff24",
+        "57337740869cab9f0d7f2a7ece00fad54956d795b574560328cb0bddaf51f15d",
     ),
     ("best_base_score", "insample"): (
-        "58ab83878a47ca1ac678d48cf4d388d1f04f17dc34fb02d18a1530e93e06176f",
-        "755672900da227585586248e2e8ebcbf8f61dd08217e12d6546f918d30b10556",
+        "7614ab08044f1f296364466380edf06bacaf456341a831230d4abfbe2723f6c5",
+        "58491695f42afbfac8ea11c83fdaa852ba6fbf9bda76213181d9e201d6c53c14",
     ),
     ("best_base_score", "loo"): (
-        "715d1f1c23dcc18176f836e64fcb92ef0a26deed6a9213d71fdd9f01ce815dba",
-        "60e6ff3678898986dfcd8fffa4cb4e17ac005f03a0f222fec775a1c75ab357cc",
+        "ec1e78a7671c6caa57cd54882726039d4b6ed4c177428318f3aced41b1a8a478",
+        "cef5b7a90d0029d7d45b5ef68a63c4d05ed19e7e9d1b5bfebd49c51f85dac9c8",
     ),
     ("avg_base_score", "insample"): (
-        "ab532d5e9f7b4aebd5ba6e81e1887de74e8fb788cf373b47d1e59af59a729e8e",
-        "788b6d443a5ba44cf933084ec88e0f466604827b7fae3f53fac58ec4912d3365",
+        "a41780b582482cc0e10a469012eccc3ba61ae99ddf4da2c10a1e1d6fdcebd0cd",
+        "f9aca38611412921e791ab6351c7b30456b4bde4014f5b5a5c69ddb5f452fb60",
     ),
     ("avg_base_score", "loo"): (
-        "1655abff13b91b57e1c9248a7af20577ae7897f9219f415a2947a7f7c9f0ba7f",
-        "01fa85d571b11355ce01fb65ce29a446fd2fcf7b77f8c192e866ac3ecaa758fc",
+        "19ca749a277d38903ee26ef82b605e0fd97fc85c2d818273db8ef339b6b17c8e",
+        "cf111974e6fe60bcee1622bd79292bd47ace03e70444350bd8cf212570a5c0b9",
     ),
     ("best_ft_score", "insample"): (
-        "6ebfe1743f9d069b5b0030d60db8cebb8f6a1320dcf9a700ef23c225a45a86d6",
-        "7f0a54406f9a4462b674f88beabe136b9339683ec13f5a810c9826c2a6beff82",
+        "7060889a79db7144ce244498772424f5fcb9095f42b00d2f73b65e4bb1bec26d",
+        "3c97d253e5aaf2f77c8232abbd2ea655a9615df4683407041442240e7b6ac99b",
     ),
     ("best_ft_score", "loo"): (
-        "40f8a4b78e866385a1a4dae0288fe3a61939820012babedb2e87553a9b07f673",
-        "e7481c5ba5f5f578455677da5b578a0c2237ecfc286b9a53dfd701f2a1423187",
+        "d57d2d76a109b9a4b945f15a54811ba7359faca1aafdfc0f595f8f3de65005e5",
+        "ca59d0154833e3ebbd9894c8b3297e783b8e530dd14e398476ae56b9a831d01f",
     ),
     ("avg_ft_score", "insample"): (
-        "bd006bf26363b450e02d3fe6aae310d44eb1c717387aac0cb3db149503bbfa87",
-        "f73489a77c975d318b2e2fcd5fac32a4bd721c8c5b12c0368ea4c66037bdcc90",
+        "453dd777d38453d73a44a89adda5df9c6fb7dc9c1c28a120d8f5b184c27f0d97",
+        "15b9cd5ac040dc608e156acba70536d5b1e50c48d14e5c7e4d2e0e27a66f4684",
     ),
     ("avg_ft_score", "loo"): (
-        "d28df9b3ba9fc282dc495d6466e33736e941f38562ec544c9cb0a5e00b32abb0",
-        "ffe0ccbd7b84535d47243049a5ef42fc688d0751fbb47172a182c673c80c4c52",
+        "49676f7ee5df2b2e8109b6176503bd790a535c873f5388c1d204e28e3e46eb28",
+        "d790cb4bfdee560cb4f4024f2f9758e311669d9199118f6a53df4f5e2f2bee2a",
     ),
 }
 

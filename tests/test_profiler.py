@@ -1,4 +1,4 @@
-"""Task-complexity profiling, correlation, and lift-regression oracles.
+"""Task-complexity profiling, lift-regression and Pearson-correlation oracles.
 
 The frozen regression expectations come from the bundled 31-task fixture
 CSVs; the RMSEs they produce were verified against an independent numpy
@@ -7,12 +7,14 @@ computation before being pinned here.
 
 from __future__ import annotations
 
+import json
 import math
 import random
 
 import numpy as np
 import pytest
 
+from adapterd.cli import main
 from adapterd.profiler import (
     PROFILE_FEATURES,
     QUALITY_METRICS,
@@ -20,7 +22,6 @@ from adapterd.profiler import (
     bundled_fixture_path,
     compressibility,
     compute_profile,
-    correlation_report,
     fit_lift_model,
     join_tasks,
     load_quality_records,
@@ -339,7 +340,7 @@ def test_pearson_planted_correlation_recovered():
 
 
 # ---------------------------------------------------------------------------
-# fixtures, correlation report, lift pipeline
+# fixtures, lift pipeline
 
 
 def test_fixture_loads_31_tasks_with_identities():
@@ -375,31 +376,35 @@ def test_profile_csv_round_trips_through_the_feature_vector(tmp_path):
     assert all(type(p.n_examples) is int for p in loaded)
 
 
-def test_correlation_report_two_tasks_all_extreme():
-    profiles = load_task_profiles(bundled_fixture_path("task_profiles.csv"))[:2]
-    quality = load_quality_records(bundled_fixture_path("quality_records.csv"))[:2]
-    report = correlation_report(profiles, quality)
-    assert report.feature_names == PROFILE_FEATURES
-    assert report.metric_names == QUALITY_METRICS
-    for row in report.matrix:
-        for value in row:
+def _lift_pearson_r(tmp_path, target, profiles=None, quality=None):
+    """The ``pearson_r`` object of ``adapterd lift --output`` (bundled CSVs by default)."""
+    output = tmp_path / "lift.json"
+    argv = [
+        "lift",
+        "--profiles", str(profiles or bundled_fixture_path("task_profiles.csv")),
+        "--quality", str(quality or bundled_fixture_path("quality_records.csv")),
+        "--target", target,
+        "--output", str(output),
+    ]
+    assert main(argv) == 0
+    return json.loads(output.read_text(encoding="utf-8"))["pearson_r"]
+
+
+def test_correlation_report_two_tasks_all_extreme(tmp_path, capsys):
+    copies = []
+    for name in ("task_profiles.csv", "quality_records.csv"):
+        lines = bundled_fixture_path(name).read_text(encoding="utf-8").splitlines()
+        copies.append(tmp_path / name)
+        copies[-1].write_text("\n".join(lines[:3]) + "\n", encoding="utf-8")
+    for target in QUALITY_METRICS:
+        correlations = _lift_pearson_r(tmp_path, target, *copies)
+        assert list(correlations) == sorted(PROFILE_FEATURES)
+        for value in correlations.values():
             assert value is None or value == pytest.approx(1.0, abs=1e-9) or value == pytest.approx(-1.0, abs=1e-9)
 
 
-def test_correlation_report_name_mismatch_rejected():
-    profiles = load_task_profiles(bundled_fixture_path("task_profiles.csv"))[:3]
-    quality = load_quality_records(bundled_fixture_path("quality_records.csv"))[1:4]
-    with pytest.raises(ValueError):
-        correlation_report(profiles, quality)
-
-
-def test_fixture_compressibility_correlates_with_base_score():
-    profiles = load_task_profiles(bundled_fixture_path("task_profiles.csv"))
-    quality = load_quality_records(bundled_fixture_path("quality_records.csv"))
-    report = correlation_report(profiles, quality)
-    row = report.feature_names.index("compressibility_mean")
-    col = report.metric_names.index("avg_base_score")
-    value = report.matrix[row][col]
+def test_fixture_compressibility_correlates_with_base_score(tmp_path, capsys):
+    value = _lift_pearson_r(tmp_path, "avg_base_score")["compressibility_mean"]
     assert value is not None and value > 0
     assert value == pytest.approx(0.4008, abs=1e-3)
 
@@ -419,17 +424,19 @@ def _profiles_csv(tmp_path, constant_column):
 
 
 @pytest.mark.parametrize("constant_column", [None, "output_len_std"], ids=["bundled", "constant"])
-def test_pearson_r_matches_numpy_corrcoef(tmp_path, constant_column):
+def test_pearson_r_matches_numpy_corrcoef(tmp_path, capsys, constant_column):
     """Each feature's r with each metric is numpy's, and None exactly where the feature is constant."""
-    profiles = load_task_profiles(_profiles_csv(tmp_path, constant_column))
-    quality = load_quality_records(bundled_fixture_path("quality_records.csv"))
-    report = correlation_report(profiles, quality)
-    pairs = join_tasks(profiles, quality)
+    profiles_csv = _profiles_csv(tmp_path, constant_column)
+    pairs = join_tasks(
+        load_task_profiles(profiles_csv),
+        load_quality_records(bundled_fixture_path("quality_records.csv")),
+    )
     features = np.array([profile_features(p) for p, _ in pairs])
-    for j, metric in enumerate(QUALITY_METRICS):
+    for metric in QUALITY_METRICS:
+        correlations = _lift_pearson_r(tmp_path, metric, profiles=profiles_csv)
         y = np.array([getattr(q, metric) for _, q in pairs])
         for i, feature in enumerate(PROFILE_FEATURES):
-            got = report.matrix[i][j]
+            got = correlations[feature]
             if np.ptp(features[:, i]) == 0:
                 assert got is None, (feature, metric)
             else:
