@@ -1,5 +1,6 @@
-"""Imports: each `adapterd` command imports only the layers it runs, and
-every name a module of `src/adapterd` imports is used.
+"""Imports: each `adapterd` command imports only the layers it runs, every
+name a module of `src/adapterd` imports is used, and every public name has a
+caller there.
 
 numpy (used only by the lift fits) and the HTTP stack (used only by `serve`
 and `bench`) dominate the cost of importing the CLI.  Each case runs in a
@@ -127,3 +128,47 @@ def test_unused_import_check_sees_plain_from_and_exported_names():
 def test_unused_import_check_sees_a_dotted_import_past_its_sibling():
     source = "import urllib.error\nimport urllib.request\nurllib.request.urlopen\n"
     assert _unused_imports(source) == ["urllib.error"]
+
+
+# Public names that nothing in src/adapterd calls, and why each stays public.
+_UNCALLED_PUBLIC = {
+    "bundled_fixture_path": "README documents it as the way to reach the bundled fixtures",
+    "predict": "C11's oracle applies a fitted model with it; a `lift --predict` would call it",
+    "single_request_timeline": "C8 checks the engine against this closed form",
+}
+
+
+def _public_names_without_a_caller(sources: dict[str, str]) -> list[str]:
+    """``__all__`` names that no module reads and no module imports from the package.
+
+    A name counts as read where it is loaded as a ``Name`` or an attribute, in
+    its own module or another; a relative import counts as a caller too.
+    """
+    exported = []
+    used = set()
+    for source in sources.values():
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Assign) and any(
+                isinstance(target, ast.Name) and target.id == "__all__" for target in node.targets
+            ):
+                exported += ast.literal_eval(node.value)
+            elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                used.add(node.attr)
+            elif isinstance(node, ast.ImportFrom) and node.level > 0:
+                used |= {alias.name for alias in node.names}
+    return sorted(name for name in exported if name not in used)
+
+
+def test_every_public_name_has_a_caller():
+    sources = {p.name: p.read_text(encoding="utf-8") for p in (SRC / "adapterd").glob("*.py")}
+    assert _public_names_without_a_caller(sources) == sorted(_UNCALLED_PUBLIC)
+
+
+def test_public_name_check_sees_reads_and_package_imports_only():
+    sources = {
+        "a.py": "__all__ = ['f', 'g', 'h', 'k']\ndef f(): pass\ndef h(): f()\nk = 1\nx.k = 2\n",
+        "b.py": "from .a import g\nfrom os import h\n",
+    }
+    assert _public_names_without_a_caller(sources) == ["h", "k"]
