@@ -11,15 +11,20 @@ import urllib.error
 import urllib.request
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import adapterd.gateway as gateway
 from adapterd.core import EngineConfig, WorkloadConfig, adapter_name
 from adapterd.engine import run
 from adapterd.gateway import (
+    _ERROR_BODY_BYTES,
     _MAX_BODY_BYTES,
     _READ_TIMEOUT_S,
     ReplicaSet,
+    _error_reply,
     _GatewayHandler,
+    _violations_reply,
     bench,
     start_server,
 )
@@ -433,18 +438,39 @@ def test_bad_generate_body_names_its_field(server, capfd, body, field):
 _HUGE_ADAPTER = json.dumps(
     {"adapter": "a" * 900_000, "input_tokens": 1, "max_new_tokens": 1}
 ).encode("utf-8")
+# Five known fields and one unknown key, each 150,000 characters: 7 violations.
+_SIX_HUGE_FIELDS = json.dumps(
+    {field: ["s" * 150_000] for field in ("input_tokens", "max_new_tokens", "prompt", "adapter",
+                                          "stream")} | {"u" * 150_000: 0}
+).encode("utf-8")
+# Sent as UTF-8, 4 bytes a character, to stay under _MAX_BODY_BYTES; JSON
+# escapes each one as 12 bytes in the reply.
+_EMOJI_ADAPTER = json.dumps(
+    {"adapter": "\U0001F600" * 250_000, "input_tokens": 1, "max_new_tokens": 1},
+    ensure_ascii=False,
+).encode("utf-8")
+
+
+def _post_bytes(body):
+    return b"POST /v1/generate HTTP/1.0\r\nContent-Length: %d\r\n\r\n" % len(body) + body
 
 
 @pytest.mark.parametrize(
     ("raw", "status", "message"),
     [
-        (b"POST /v1/generate HTTP/1.0\r\nContent-Length: %d\r\n\r\n" % len(_HUGE_ADAPTER)
-         + _HUGE_ADAPTER, 404, "unknown adapter: aaa"),
+        (_post_bytes(_HUGE_ADAPTER), 404, "unknown adapter: aaa"),
         (b"GET /" + b"p" * 60_000 + b" HTTP/1.0\r\n\r\n", 404, "no such path: /ppp"),
         (b"POST /v1/generate HTTP/1.0\r\nContent-Length: " + b"x" * 60_000 + b"\r\n\r\n",
          400, "Content-Length: must be"),
+        # Each reply below quotes more than _ERROR_BODY_BYTES under core.clip alone.
+        (_post_bytes(_SIX_HUGE_FIELDS), 400, "body: unknown fields ['uuu"),
+        (_post_bytes(_EMOJI_ADAPTER), 404, "unknown adapter: \U0001F600"),
+        (b"GET /" + b"\xe9" * 60_000 + b" HTTP/1.0\r\n\r\n", 404, "no such path: /\xe9\xe9"),
+        (b"POST /v1/generate HTTP/1.0\r\nContent-Length: " + b"\xe9" * 60_000 + b"\r\n\r\n",
+         400, "Content-Length: must be"),
     ],
-    ids=["900kB-adapter", "60kB-path", "60kB-content-length"],
+    ids=["900kB-adapter", "60kB-path", "60kB-content-length", "six-150kB-fields",
+         "250k-emoji-adapter", "60kB-latin1-path", "60kB-latin1-content-length"],
 )
 def test_an_oversized_input_is_quoted_back_cut(server, capfd, raw, status, message):
     head, _, reply = _raw_request(server.port, raw).partition(b"\r\n\r\n")
@@ -453,6 +479,46 @@ def test_an_oversized_input_is_quoted_back_cut(server, capfd, raw, status, messa
     payload = json.loads(reply)
     assert (payload["violations"][0] if status == 400 else payload["error"]).startswith(message)
     assert capfd.readouterr().err == ""
+
+
+def test_a_cut_violation_list_says_how_many_it_left_out():
+    violations = [f"v{i}: " + "x" * 400 for i in range(7)]
+    assert _violations_reply(violations[:2]) == {"violations": violations[:2]}
+    assert _violations_reply(violations[:3]) == {
+        "violations": [*violations[:2], "1 more violation left out"]
+    }
+    assert _violations_reply(violations) == {
+        "violations": [*violations[:2], "5 more violations left out"]
+    }
+
+
+_TEXT = st.text(st.characters(codec="utf-8"), max_size=600)
+
+
+@settings(max_examples=300, deadline=None)
+@given(violations=st.lists(_TEXT, min_size=1, max_size=9), error=_TEXT)
+def test_every_error_reply_fits_the_budget(violations, error):
+    """Under _ERROR_BODY_BYTES; each kept message whole or a prefix, then the left-out count."""
+    kept = _violations_reply(violations)["violations"]
+    assert len(gateway._json_body({"violations": kept})) < _ERROR_BODY_BYTES
+    if len(gateway._json_body({"violations": violations})) < _ERROR_BODY_BYTES:
+        assert kept == violations
+    left = len(violations) - len(kept) + 1
+    if kept[-1] == f"{left} more violation{'s' * (left > 1)} left out":
+        kept = kept[:-1]
+    else:
+        assert len(kept) == len(violations)
+    assert kept[1:] == violations[1:len(kept)]
+    assert kept[0] == violations[0] or (
+        kept[0].endswith("...") and violations[0].startswith(kept[0][:-3])
+    )
+    reply = _error_reply(error)
+    assert len(gateway._json_body(reply)) < _ERROR_BODY_BYTES
+    if len(gateway._json_body({"error": error})) < _ERROR_BODY_BYTES:
+        assert reply["error"] == error
+    assert reply["error"] == error or (
+        reply["error"].endswith("...") and error.startswith(reply["error"][:-3])
+    )
 
 
 def _engine_threads():
