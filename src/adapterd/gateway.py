@@ -18,9 +18,8 @@ Protocol, all under one port:
   full violation list, each ``field: rule (got value)``; an unknown body key
   is a violation, as in a scenario.  A body over ``_MAX_BODY_BYTES`` gets a
   413 unread; unknown adapters get a 404.  Every reply quotes an input back
-  cut to 500 characters (``core.clip``), and every 400 and 404 body is
-  shorter than ``_ERROR_BODY_BYTES``: a 400 lists whole violations while they
-  fit, then says how many it left out.  A connection that stalls for
+  cut to 500 characters (``core.clip``), and every 400 and 404 body fits in
+  ``_ERROR_BODY_BYTES`` (:func:`_fit`).  A connection that stalls for
   ``_READ_TIMEOUT_S`` is closed without a reply.
 * ``GET /healthz`` -- liveness probe, plain ``ok``.
 * ``GET /v1/metrics`` -- the run-so-far report as JSON.
@@ -35,7 +34,6 @@ backoff rather than silently dropped, and never enter the latency summary.
 
 from __future__ import annotations
 
-import bisect
 import http.client
 import itertools
 import json
@@ -46,7 +44,7 @@ import time
 import urllib.request
 from dataclasses import dataclass, replace
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Annotated, Callable, Sequence
+from typing import Annotated, Sequence
 
 from .core import (
     BASE_ADAPTER,
@@ -78,9 +76,8 @@ _REQUEST_TIMEOUT_S = 30.0
 _MAX_BODY_BYTES = 1 << 20
 # http.server quietly drops a connection whose socket read or write stalls this long.
 _READ_TIMEOUT_S = 10.0
-# Every 400 and 404 body is shorter than this.  core.clip bounds each quoted
-# value to 500 characters, but one reply may quote several, and JSON writes a
-# non-ASCII character as up to 12 bytes.
+# core.clip bounds each quoted value by characters, but one reply may quote
+# several, and JSON writes a non-ASCII character as up to 12 bytes.
 _ERROR_BODY_BYTES = 1000
 
 
@@ -216,43 +213,20 @@ def _body_violations(body: object) -> list[str]:
     return violations
 
 
-def _json_body(payload: dict) -> bytes:
-    return (json.dumps(payload, sort_keys=True) + "\n").encode("utf-8")
+def _fit(messages: list[str]) -> list[str]:
+    """``messages`` cut so that a 400 or 404 body holding them is under ``_ERROR_BODY_BYTES``.
 
-
-def _fits(payload: dict) -> bool:
-    return len(_json_body(payload)) < _ERROR_BODY_BYTES
-
-
-def _cut(text: str, reply: Callable[[str], dict]) -> str:
-    """``text``, or its longest prefix marked ``...`` that ``reply`` fits into the budget."""
-    if _fits(reply(text)):
-        return text
-    # A longer prefix never fits where a shorter one does not: bisect for the first misfit.
-    misfit = bisect.bisect(
-        range(len(text)), False, key=lambda n: not _fits(reply(text[:n] + "..."))
-    )
-    return text[: misfit - 1] + "..."
-
-
-def _error_reply(error: str) -> dict:
-    return {"error": _cut(error, lambda text: {"error": text})}
-
-
-def _violations_reply(violations: list[str]) -> dict:
-    """Whole violations while they fit the budget, then how many were left out.
-
-    A first violation too long to fit alone is cut short instead.
+    Whole messages are kept while they fit, then one line says how many were
+    left out; a first message too long to fit alone is cut and ends in ``...``.
     """
-    def listed(kept: int, first: str) -> dict:
-        left = len(violations) - kept
-        note = [f"{left} more violation{'s' * (left > 1)} left out"] if left else []
-        return {"violations": [first, *violations[1:kept], *note]}
-
-    kept = len(violations)
-    while kept > 1 and not _fits(listed(kept, violations[0])):
-        kept -= 1
-    return listed(kept, _cut(violations[0], lambda first: listed(kept, first)))
+    kept, end = len(messages), len(messages[0])
+    while True:
+        left = len(messages) - kept
+        first = messages[0][:end] + "..." * (end < len(messages[0]))
+        shown = [first, *messages[1:kept]] + [f"{left} more left out"] * (left > 0)
+        if len(json.dumps({"violations": shown})) + 1 < _ERROR_BODY_BYTES:  # 1: the newline
+            return shown
+        kept, end = (kept - 1, end) if kept > 1 else (kept, end - 1)
 
 
 class _GatewayHandler(BaseHTTPRequestHandler):
@@ -263,7 +237,7 @@ class _GatewayHandler(BaseHTTPRequestHandler):
         pass  # Keep the serving path quiet; metrics carry the signal.
 
     def _send_json(self, status: int, payload: dict) -> None:
-        body = _json_body(payload)
+        body = (json.dumps(payload, sort_keys=True) + "\n").encode("utf-8")
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(body)))
@@ -281,16 +255,16 @@ class _GatewayHandler(BaseHTTPRequestHandler):
         elif self.path == "/v1/metrics":
             self._send_json(200, self.server.engine.report().to_json_dict())
         else:
-            self._send_json(404, _error_reply(f"no such path: {clip(self.path)}"))
+            self._send_json(404, {"error": _fit([f"no such path: {clip(self.path)}"])[0]})
 
     def do_POST(self) -> None:  # noqa: N802 (http.server API)
         if self.path != "/v1/generate":
-            self._send_json(404, _error_reply(f"no such path: {clip(self.path)}"))
+            self._send_json(404, {"error": _fit([f"no such path: {clip(self.path)}"])[0]})
             return
         raw_length = (self.headers.get("Content-Length") or "0").strip()
         if not (raw_length.isascii() and raw_length.isdigit()):
             violation = f"Content-Length: must be an integer >= 0 (got {clip(repr(raw_length))})"
-            self._send_json(400, _violations_reply([violation]))
+            self._send_json(400, {"violations": _fit([violation])})
             return
         digits = raw_length.lstrip("0") or "0"
         # int() refuses 4,301 digits or more; more digits than the limit has is over it.
@@ -301,18 +275,18 @@ class _GatewayHandler(BaseHTTPRequestHandler):
         try:
             body = json.loads(self.rfile.read(length) or b"null")
         except (ValueError, RecursionError) as error:  # also not UTF-8, or nested too deep
-            self._send_json(400, _violations_reply([f"body is not valid JSON: {error}"]))
+            self._send_json(400, {"violations": _fit([f"body is not valid JSON: {error}"])})
             return
         violations = _body_violations(body)
         if violations:
-            self._send_json(400, _violations_reply(violations))
+            self._send_json(400, {"violations": _fit(violations)})
             return
         request = _GenerateBody(**body)
         adapter = request.adapter
         input_tokens = request.input_tokens or len(request.prompt.split())
         engine = self.server.engine
         if not engine.knows_adapter(adapter):
-            self._send_json(404, _error_reply(f"unknown adapter: {clip(adapter)}"))
+            self._send_json(404, {"error": _fit([f"unknown adapter: {clip(adapter)}"])[0]})
             return
         request_id, token_queue = engine.submit(adapter, input_tokens, request.max_new_tokens)
         if request.stream:

@@ -342,23 +342,6 @@ def test_lift_insample_reproduces_reference_rmse(capsys):
     assert all(line.startswith("  ") for line in (weights + pearson).splitlines())
 
 
-def test_lift_prints_n_a_for_a_constant_feature(tmp_path, capsys):
-    rows = [line.split(",") for line in
-            bundled_fixture_path("task_profiles.csv").read_text(encoding="utf-8").splitlines()]
-    column = rows[0].index("output_len_std")
-    profiles = tmp_path / "task_profiles.csv"
-    for row in rows[1:]:
-        row[column] = "1"
-    profiles.write_text("".join(",".join(row) + "\n" for row in rows), encoding="utf-8")
-    args = _lift_args("gpt4_score", "--output", str(tmp_path / "lift.json"))
-    args[args.index("--profiles") + 1] = str(profiles)
-    assert main(args) == 0
-    pearson = capsys.readouterr().out.split("pearson r with gpt4_score (profile features):\n")[1]
-    assert f"  {'output_len_std':<24}n/a" in pearson.splitlines()
-    assert pearson.count("n/a") == 1
-    assert json.loads((tmp_path / "lift.json").read_text())["pearson_r"]["output_len_std"] is None
-
-
 def test_lift_loo_mode_prints_holdout_rmse(capsys):
     assert main(_lift_args("gpt4_score", "--mode", "loo")) == 0
     out = capsys.readouterr().out

@@ -11,7 +11,7 @@ import urllib.error
 import urllib.request
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import adapterd.gateway as gateway
@@ -22,9 +22,8 @@ from adapterd.gateway import (
     _MAX_BODY_BYTES,
     _READ_TIMEOUT_S,
     ReplicaSet,
-    _error_reply,
+    _fit,
     _GatewayHandler,
-    _violations_reply,
     bench,
     start_server,
 )
@@ -483,41 +482,34 @@ def test_an_oversized_input_is_quoted_back_cut(server, capfd, raw, status, messa
 
 def test_a_cut_violation_list_says_how_many_it_left_out():
     violations = [f"v{i}: " + "x" * 400 for i in range(7)]
-    assert _violations_reply(violations[:2]) == {"violations": violations[:2]}
-    assert _violations_reply(violations[:3]) == {
-        "violations": [*violations[:2], "1 more violation left out"]
-    }
-    assert _violations_reply(violations) == {
-        "violations": [*violations[:2], "5 more violations left out"]
-    }
+    assert _fit(violations[:2]) == violations[:2]
+    assert _fit(violations[:3]) == [*violations[:2], "1 more left out"]
+    assert _fit(violations) == [*violations[:2], "5 more left out"]
 
 
-_TEXT = st.text(st.characters(codec="utf-8"), max_size=600)
+def _body_size(key, value):
+    return len(json.dumps({key: value}, sort_keys=True) + "\n")
 
 
 @settings(max_examples=300, deadline=None)
-@given(violations=st.lists(_TEXT, min_size=1, max_size=9), error=_TEXT)
-def test_every_error_reply_fits_the_budget(violations, error):
-    """Under _ERROR_BODY_BYTES; each kept message whole or a prefix, then the left-out count."""
-    kept = _violations_reply(violations)["violations"]
-    assert len(gateway._json_body({"violations": kept})) < _ERROR_BODY_BYTES
-    if len(gateway._json_body({"violations": violations})) < _ERROR_BODY_BYTES:
-        assert kept == violations
-    left = len(violations) - len(kept) + 1
-    if kept[-1] == f"{left} more violation{'s' * (left > 1)} left out":
-        kept = kept[:-1]
+@given(st.lists(st.text(st.characters(codec="utf-8"), max_size=600), min_size=1, max_size=9))
+@example(["\xe9" * 600])  # too long alone: cut
+@example(["\U0001F600" * 100, "x" * 600, "y"])
+def test_every_error_body_fits_the_budget(messages):
+    """Whole messages, or a first one cut to a prefix, then the count left out."""
+    shown = _fit(messages)
+    assert _body_size("violations", shown) < _ERROR_BODY_BYTES
+    assert _body_size("error", shown[0]) < _ERROR_BODY_BYTES
+    if _body_size("violations", messages) < _ERROR_BODY_BYTES:
+        assert shown == messages
+    left = len(messages) - len(shown) + 1
+    if shown[-1] == f"{left} more left out":
+        shown = shown[:-1]
     else:
-        assert len(kept) == len(violations)
-    assert kept[1:] == violations[1:len(kept)]
-    assert kept[0] == violations[0] or (
-        kept[0].endswith("...") and violations[0].startswith(kept[0][:-3])
-    )
-    reply = _error_reply(error)
-    assert len(gateway._json_body(reply)) < _ERROR_BODY_BYTES
-    if len(gateway._json_body({"error": error})) < _ERROR_BODY_BYTES:
-        assert reply["error"] == error
-    assert reply["error"] == error or (
-        reply["error"].endswith("...") and error.startswith(reply["error"][:-3])
+        assert len(shown) == len(messages)
+    assert shown[1:] == messages[1:len(shown)]
+    assert shown[0] == messages[0] or (
+        shown[0].endswith("...") and messages[0].startswith(shown[0][:-3])
     )
 
 

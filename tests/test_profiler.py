@@ -376,8 +376,11 @@ def test_profile_csv_round_trips_through_the_feature_vector(tmp_path):
     assert all(type(p.n_examples) is int for p in loaded)
 
 
-def _lift_pearson_r(tmp_path, target, profiles=None, quality=None):
-    """The ``pearson_r`` object of ``adapterd lift --output`` (bundled CSVs by default)."""
+def _lift_pearson_r(tmp_path, capsys, target, profiles=None, quality=None):
+    """The ``pearson_r`` object of ``adapterd lift --output`` (bundled CSVs by default).
+
+    Also checks that stdout ends with the same values, ``n/a`` for ``null``.
+    """
     output = tmp_path / "lift.json"
     argv = [
         "lift",
@@ -387,7 +390,13 @@ def _lift_pearson_r(tmp_path, target, profiles=None, quality=None):
         "--output", str(output),
     ]
     assert main(argv) == 0
-    return json.loads(output.read_text(encoding="utf-8"))["pearson_r"]
+    correlations = json.loads(output.read_text(encoding="utf-8"))["pearson_r"]
+    printed = capsys.readouterr().out.split(f"pearson r with {target} (profile features):\n")
+    in_order = [(feature, correlations[feature]) for feature in PROFILE_FEATURES]
+    assert printed[1].splitlines() == [
+        f"  {feature:<24}" + ("n/a" if r is None else f"{r:+.4f}") for feature, r in in_order
+    ]
+    return correlations
 
 
 def test_correlation_report_two_tasks_all_extreme(tmp_path, capsys):
@@ -397,14 +406,14 @@ def test_correlation_report_two_tasks_all_extreme(tmp_path, capsys):
         copies.append(tmp_path / name)
         copies[-1].write_text("\n".join(lines[:3]) + "\n", encoding="utf-8")
     for target in QUALITY_METRICS:
-        correlations = _lift_pearson_r(tmp_path, target, *copies)
+        correlations = _lift_pearson_r(tmp_path, capsys, target, *copies)
         assert list(correlations) == sorted(PROFILE_FEATURES)
         for value in correlations.values():
             assert value is None or abs(value) == pytest.approx(1.0, abs=1e-9)
 
 
 def test_fixture_compressibility_correlates_with_base_score(tmp_path, capsys):
-    value = _lift_pearson_r(tmp_path, "avg_base_score")["compressibility_mean"]
+    value = _lift_pearson_r(tmp_path, capsys, "avg_base_score")["compressibility_mean"]
     assert value is not None and value > 0
     assert value == pytest.approx(0.4008, abs=1e-3)
 
@@ -433,7 +442,7 @@ def test_pearson_r_matches_numpy_corrcoef(tmp_path, capsys, constant_column):
     )
     features = np.array([profile_features(p) for p, _ in pairs])
     for metric in QUALITY_METRICS:
-        correlations = _lift_pearson_r(tmp_path, metric, profiles=profiles_csv)
+        correlations = _lift_pearson_r(tmp_path, capsys, metric, profiles=profiles_csv)
         y = np.array([getattr(q, metric) for _, q in pairs])
         for i, feature in enumerate(PROFILE_FEATURES):
             got = correlations[feature]
