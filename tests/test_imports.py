@@ -138,7 +138,7 @@ _UNCALLED_PUBLIC = {
 }
 
 
-def _public_names_without_a_caller(sources: dict[str, str]) -> list[str]:
+def _public_names_without_a_caller(sources: list[str]) -> list[str]:
     """``__all__`` names that no module reads and no module imports from the package.
 
     A name counts as read where it is loaded as a ``Name`` or an attribute, in
@@ -146,7 +146,7 @@ def _public_names_without_a_caller(sources: dict[str, str]) -> list[str]:
     """
     exported = []
     used = set()
-    for source in sources.values():
+    for source in sources:
         for node in ast.walk(ast.parse(source)):
             if isinstance(node, ast.Assign) and any(
                 isinstance(target, ast.Name) and target.id == "__all__" for target in node.targets
@@ -162,13 +162,13 @@ def _public_names_without_a_caller(sources: dict[str, str]) -> list[str]:
 
 
 def test_every_public_name_has_a_caller():
-    sources = {p.name: p.read_text(encoding="utf-8") for p in (SRC / "adapterd").glob("*.py")}
+    sources = [p.read_text(encoding="utf-8") for p in (SRC / "adapterd").glob("*.py")]
     assert _public_names_without_a_caller(sources) == sorted(_UNCALLED_PUBLIC)
 
 
 def test_public_name_check_sees_reads_and_package_imports_only():
-    sources = {
-        "a.py": "__all__ = ['f', 'g', 'h', 'k']\ndef f(): pass\ndef h(): f()\nk = 1\nx.k = 2\n",
-        "b.py": "from .a import g\nfrom os import h\n",
-    }
+    sources = [
+        "__all__ = ['f', 'g', 'h', 'k']\ndef f(): pass\ndef h(): f()\nk = 1\nx.k = 2\n",
+        "from .a import g\nfrom os import h\n",
+    ]
     assert _public_names_without_a_caller(sources) == ["h", "k"]
