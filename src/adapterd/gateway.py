@@ -24,12 +24,19 @@ Protocol, all under one port:
 * ``GET /healthz`` -- liveness probe, plain ``ok``.
 * ``GET /v1/metrics`` -- the run-so-far report as JSON.
 
+The server speaks HTTP/1.1 with ``TCP_NODELAY``.  A reply that leaves request
+bytes unread closes the connection: a POST to an unknown path, the 413, the
+400 for a bad ``Content-Length``, a GET with a body, any ``Transfer-Encoding``.
+A stream is chunked, one chunk per event; every generate reply names the
+server's request id in ``X-Request-Id``.
+
 The bench client drives one thread per closed-loop user against a replica
-set, assigning each request to the next endpoint in strict rotation.  All
-timestamps are taken client side on one shared clock, so the resulting
-records measure what a caller actually observed, including any scheduling or
-transport jitter.  Failed requests are counted and retried after a short
-backoff rather than silently dropped, and never enter the latency summary.
+set, assigning each request to the next endpoint in strict rotation over one
+kept connection per endpoint.  All timestamps are taken client side on one
+shared clock, so the resulting records measure what a caller actually
+observed, including any scheduling or transport jitter.  Failed requests
+close their connection, are counted and retried after a short backoff rather
+than silently dropped, and never enter the latency summary.
 """
 
 from __future__ import annotations
@@ -41,10 +48,10 @@ import os
 import queue
 import threading
 import time
-import urllib.request
 from dataclasses import dataclass, replace
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Annotated, Sequence
+from urllib.parse import urlsplit
 
 from .core import (
     BASE_ADAPTER,
@@ -232,32 +239,39 @@ def _fit(messages: list[str]) -> list[str]:
 class _GatewayHandler(BaseHTTPRequestHandler):
     server: LiveServer
     timeout = _READ_TIMEOUT_S
+    protocol_version = "HTTP/1.1"
+    disable_nagle_algorithm = True  # else a token on a kept connection waits ~40 ms for an ACK
 
     def log_message(self, format: str, *args: object) -> None:  # noqa: A002
         pass  # Keep the serving path quiet; metrics carry the signal.
 
-    def _send_json(self, status: int, payload: dict) -> None:
-        body = (json.dumps(payload, sort_keys=True) + "\n").encode("utf-8")
+    def _send_head(self, status: int, *headers: tuple[str, str]) -> None:
+        self.close_connection |= "Transfer-Encoding" in self.headers  # a body we cannot frame
         self.send_response(status)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(body)))
+        for header in headers:
+            self.send_header(*header)
+        if self.close_connection:
+            self.send_header("Connection", "close")
         self.end_headers()
+
+    def _send_json(self, status: int, payload: dict, *headers: tuple[str, str]) -> None:
+        body = (json.dumps(payload, sort_keys=True) + "\n").encode("utf-8")
+        length = ("Content-Length", str(len(body)))
+        self._send_head(status, ("Content-Type", "application/json"), length, *headers)
         self.wfile.write(body)
 
     def do_GET(self) -> None:  # noqa: N802 (http.server API)
+        self.close_connection |= "Content-Length" in self.headers  # a body is never read
         if self.path == "/healthz":
-            body = b"ok"
-            self.send_response(200)
-            self.send_header("Content-Type", "text/plain")
-            self.send_header("Content-Length", str(len(body)))
-            self.end_headers()
-            self.wfile.write(body)
+            self._send_head(200, ("Content-Type", "text/plain"), ("Content-Length", "2"))
+            self.wfile.write(b"ok")
         elif self.path == "/v1/metrics":
             self._send_json(200, self.server.engine.report().to_json_dict())
         else:
             self._send_json(404, {"error": _fit([f"no such path: {clip(self.path)}"])[0]})
 
     def do_POST(self) -> None:  # noqa: N802 (http.server API)
+        close_after_body, self.close_connection = self.close_connection, True
         if self.path != "/v1/generate":
             self._send_json(404, {"error": _fit([f"no such path: {clip(self.path)}"])[0]})
             return
@@ -272,6 +286,7 @@ class _GatewayHandler(BaseHTTPRequestHandler):
         if length > _MAX_BODY_BYTES:
             self._send_json(413, {"error": f"body exceeds {_MAX_BODY_BYTES} bytes"})
             return
+        self.close_connection = close_after_body  # the replies above left the body unread
         try:
             body = json.loads(self.rfile.read(length) or b"null")
         except (ValueError, RecursionError) as error:  # also not UTF-8, or nested too deep
@@ -290,7 +305,7 @@ class _GatewayHandler(BaseHTTPRequestHandler):
             return
         request_id, token_queue = engine.submit(adapter, input_tokens, request.max_new_tokens)
         if request.stream:
-            self._stream_response(token_queue)
+            self._stream_response(request_id, token_queue)
         else:
             while not isinstance(item := token_queue.get(), RequestRecord):
                 pass
@@ -302,19 +317,17 @@ class _GatewayHandler(BaseHTTPRequestHandler):
                     "input_tokens": input_tokens,
                     "output_tokens": item.output_tokens_emitted,
                 },
+                ("X-Request-Id", request_id),
             )
 
-    def _stream_response(self, token_queue: queue.SimpleQueue) -> None:
-        self.send_response(200)
-        self.send_header("Content-Type", "text/event-stream")
-        self.send_header("Cache-Control", "no-store")
-        self.end_headers()
+    def _stream_response(self, request_id: str, token_queue: queue.SimpleQueue) -> None:
+        self._send_head(200, ("Content-Type", "text/event-stream"), ("Cache-Control", "no-store"),
+                        ("Transfer-Encoding", "chunked"), ("X-Request-Id", request_id))
+        # One chunk per event, each in one write; then the 14-byte [DONE] chunk and the empty one.
         while not isinstance(item := token_queue.get(), RequestRecord):
-            event = json.dumps({"token_index": item})
-            self.wfile.write(f"data: {event}\n\n".encode("utf-8"))
-            self.wfile.flush()
-        self.wfile.write(b"data: [DONE]\n\n")
-        self.wfile.flush()
+            event = b'data: {"token_index": %d}\n\n' % item
+            self.wfile.write(b"%x\r\n%s\r\n" % (len(event), event))
+        self.wfile.write(b"e\r\ndata: [DONE]\n\n\r\n0\r\n\r\n")
 
 
 class LiveServer(ThreadingHTTPServer):
@@ -405,11 +418,15 @@ def _now_ms(origin: float) -> float:
     return (time.monotonic() - origin) * 1000.0
 
 
+def _connect(endpoint: str) -> http.client.HTTPConnection:
+    return http.client.HTTPConnection(urlsplit(endpoint).netloc, timeout=_REQUEST_TIMEOUT_S)
+
+
 def _stream_request(
     endpoint: str, adapter: str, input_tokens: int, max_new_tokens: int,
-    request_id: str, origin: float,
+    request_id: str, origin: float, connections: dict[str, http.client.HTTPConnection],
 ) -> RequestRecord:
-    """Issue one streaming generate call, timing each token client side."""
+    """Send one streaming generate call on ``connections[endpoint]``, timing tokens client side."""
     body: dict = {
         "input_tokens": input_tokens,
         "max_new_tokens": max_new_tokens,
@@ -417,17 +434,19 @@ def _stream_request(
     }
     if adapter != BASE_ADAPTER:
         body["adapter"] = adapter
-    request = urllib.request.Request(
-        endpoint.rstrip("/") + "/v1/generate",
-        data=json.dumps(body).encode("utf-8"),
-        headers={"Content-Type": "application/json"},
-        method="POST",
-    )
+    if (connection := connections.get(endpoint)) is None:
+        connection = connections[endpoint] = _connect(endpoint)
     submit_ms = _now_ms(origin)
     first_ms: float | None = None
     last_ms = submit_ms
     emitted = 0
-    with urllib.request.urlopen(request, timeout=_REQUEST_TIMEOUT_S) as response:
+    try:
+        connection.request(
+            "POST", "/v1/generate", json.dumps(body), {"Content-Type": "application/json"}
+        )
+        response = connection.getresponse()
+        if response.status != 200:
+            raise http.client.HTTPException(f"HTTP {response.status} {response.reason}")
         for raw in response:
             line = raw.strip()
             if not line.startswith(b"data: "):
@@ -441,8 +460,12 @@ def _stream_request(
                 first_ms = stamp
             last_ms = stamp
             emitted += 1
-    if first_ms is None:
-        raise ValueError("stream closed before the first token")
+        response.read()  # the rest of the body, so the connection can carry the next request
+        if first_ms is None:
+            raise ValueError("stream closed before the first token")
+    except BaseException:
+        connections.pop(endpoint).close()  # the next request reconnects
+        raise
     return RequestRecord(
         request_id=request_id,
         adapter=adapter,
@@ -455,13 +478,14 @@ def _stream_request(
 
 
 def _fetch_engine_echo(endpoint: str) -> dict | None:
+    connection = _connect(endpoint)
     try:
-        with urllib.request.urlopen(
-            endpoint.rstrip("/") + "/v1/metrics", timeout=_REQUEST_TIMEOUT_S
-        ) as response:
-            return json.loads(response.read())["config"]["engine"]
+        connection.request("GET", "/v1/metrics")
+        return json.loads(connection.getresponse().read())["config"]["engine"]
     except (OSError, ValueError, KeyError, http.client.HTTPException):
         return None
+    finally:
+        connection.close()
 
 
 def bench(replicas: ReplicaSet, workload: WorkloadConfig) -> RunReport:
@@ -490,31 +514,32 @@ def bench(replicas: ReplicaSet, workload: WorkloadConfig) -> RunReport:
     def worker(user_index: int) -> None:
         user = User(user_index, workload)
         sequence = 0
-        while _now_ms(origin) < workload.duration_ms:
-            payload, user.rng = sample_payload(
-                user.rng, workload, fixed_adapter=user.pinned_adapter
-            )
-            with rotation_lock:
-                endpoint = next(rotation)
-                sent[endpoint] += 1
-            sequence += 1
-            request_id = f"u{user_index:03d}-{sequence:05d}"
-            try:
-                record = _stream_request(
-                    endpoint,
-                    payload.adapter,
-                    payload.input_tokens,
-                    payload.output_tokens,
-                    request_id,
-                    origin,
+        connections: dict[str, http.client.HTTPConnection] = {}  # kept, one per endpoint
+        try:
+            while _now_ms(origin) < workload.duration_ms:
+                payload, user.rng = sample_payload(
+                    user.rng, workload, fixed_adapter=user.pinned_adapter
                 )
-            except (OSError, ValueError, KeyError, http.client.HTTPException):
                 with rotation_lock:
-                    failed[endpoint] += 1
-                time.sleep(_FAILURE_BACKOFF_S)
-                continue
-            with rotation_lock:
-                served[endpoint].append(record)
+                    endpoint = next(rotation)
+                    sent[endpoint] += 1
+                sequence += 1
+                request_id = f"u{user_index:03d}-{sequence:05d}"
+                try:
+                    record = _stream_request(
+                        endpoint, payload.adapter, payload.input_tokens, payload.output_tokens,
+                        request_id, origin, connections,
+                    )
+                except (OSError, ValueError, KeyError, http.client.HTTPException):
+                    with rotation_lock:
+                        failed[endpoint] += 1
+                    time.sleep(_FAILURE_BACKOFF_S)
+                    continue
+                with rotation_lock:
+                    served[endpoint].append(record)
+        finally:
+            for connection in connections.values():
+                connection.close()
 
     threads = [
         threading.Thread(target=worker, args=(i,), name=f"bench-user-{i}", daemon=True)

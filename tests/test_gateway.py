@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import http.client
+import itertools
 import json
 import socket
+import statistics
 import sys
 import threading
 import time
@@ -11,12 +14,12 @@ import urllib.error
 import urllib.request
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import adapterd.gateway as gateway
-from adapterd.core import EngineConfig, WorkloadConfig, adapter_name
-from adapterd.engine import run
+from adapterd.core import BASE_ADAPTER, EngineConfig, WorkloadConfig, adapter_name
+from adapterd.engine import decode_gap, prefill_time, run
 from adapterd.gateway import (
     _ERROR_BODY_BYTES,
     _MAX_BODY_BYTES,
@@ -530,3 +533,219 @@ def test_start_server_stops_its_engine_when_the_port_is_taken():
     finally:
         server.stop()
     assert not _engine_threads() & running
+
+
+# -- HTTP/1.1 keep-alive ---------------------------------------------------------
+
+
+def _exchange(port, data, timeout=5.0):
+    """Send ``data`` on one connection and half-close it; return every reply byte.
+
+    The server may reset a connection it closes with request bytes unread; the
+    replies sent before the reset still count.
+    """
+    with socket.create_connection(("127.0.0.1", port), timeout=timeout) as sock:
+        sock.sendall(data)
+        sock.shutdown(socket.SHUT_WR)
+        reply = b""
+        try:
+            while chunk := sock.recv(4096):
+                reply += chunk
+        except ConnectionResetError:
+            pass
+    return reply
+
+
+_SMUGGLED = b"GET /healthz HTTP/1.1\r\nHost: x\r\n\r\n"
+
+
+@pytest.fixture(scope="module")
+def kept_server():
+    """One server for the keep-alive tests; each reads only the engine records it made."""
+    handle = start_server(_FAST, port=0)
+    yield handle
+    handle.stop()
+
+
+@pytest.mark.parametrize(
+    ("head", "status"),
+    [
+        (b"POST /nowhere HTTP/1.1\r\nContent-Length: %d\r\n" % len(_SMUGGLED), 404),
+        (b"POST /v1/generate HTTP/1.1\r\nContent-Length: %d\r\n" % (_MAX_BODY_BYTES + 1), 413),
+        (b"POST /v1/generate HTTP/1.1\r\nContent-Length: abc\r\n", 400),
+        (b"POST /v1/generate HTTP/1.1\r\nTransfer-Encoding: chunked\r\n", 400),
+        (b"GET /healthz HTTP/1.1\r\nContent-Length: %d\r\n" % len(_SMUGGLED), 200),
+    ],
+    ids=["404-unknown-path", "413", "400-content-length", "transfer-encoding", "get-with-body"],
+)
+def test_a_reply_that_leaves_body_bytes_unread_closes_the_connection(
+    kept_server, capfd, head, status
+):
+    """The body is a whole request of its own; it must never get a reply."""
+    reply = _exchange(kept_server.port, head + b"Host: x\r\n\r\n" + _SMUGGLED)
+    assert reply.startswith(b"HTTP/1.1 %d " % status)
+    assert reply.count(b"HTTP/1.1 ") == 1
+    assert b"Connection: close" in reply.partition(b"\r\n\r\n")[0].split(b"\r\n")
+    assert capfd.readouterr().err == ""
+
+
+@pytest.mark.parametrize("stream", [False, True], ids=["json", "stream"])
+def test_a_kept_connection_serves_the_request_after_a_generate_call(kept_server, stream):
+    body = json.dumps({"input_tokens": 1, "max_new_tokens": 3, "stream": stream}).encode()
+    generate = b"POST /v1/generate HTTP/1.1\r\nHost: x\r\nContent-Length: %d\r\n\r\n" % len(body)
+    reply = _exchange(kept_server.port, generate + body + _SMUGGLED)
+    first, second = reply.split(b"HTTP/1.1 200 OK\r\n")[1:]
+    assert b"Connection: close" not in first
+    if stream:
+        assert b"\r\nTransfer-Encoding: chunked\r\n" in first
+        assert first.endswith(b"\r\ne\r\ndata: [DONE]\n\n\r\n0\r\n\r\n")
+        assert first.count(b"data: {") == 3
+    else:
+        assert json.loads(first.partition(b"\r\n\r\n")[2])["output_tokens"] == 3
+    assert second.endswith(b"\r\n\r\nok")
+
+
+def test_every_generate_reply_names_its_server_request_id(kept_server):
+    connection = http.client.HTTPConnection("127.0.0.1", kept_server.port, timeout=10.0)
+    before = len(kept_server.engine.report().records)
+    ids = []
+    try:
+        for stream in (False, True):
+            body = {"input_tokens": 1, "max_new_tokens": 2, "stream": stream}
+            connection.request("POST", "/v1/generate", json.dumps(body))
+            response = connection.getresponse()
+            payload = response.read()
+            ids.append(response.headers["X-Request-Id"])
+            if not stream:
+                assert json.loads(payload)["request_id"] == ids[-1]
+    finally:
+        connection.close()
+    assert ids == [record.request_id for record in kept_server.engine.report().records[before:]]
+    assert len(set(ids)) == 2
+
+
+def _count_connections(monkeypatch):
+    """Wrap ``LiveServer.process_request_thread``: one (server, handler thread) per connection."""
+    accepted = []
+    handle = gateway.LiveServer.process_request_thread
+
+    def counting(self, request, client_address):
+        accepted.append((self, threading.current_thread()))
+        handle(self, request, client_address)
+
+    monkeypatch.setattr(gateway.LiveServer, "process_request_thread", counting)
+    return accepted
+
+
+def test_bench_keeps_one_connection_per_endpoint_and_closes_it(monkeypatch):
+    accepted = _count_connections(monkeypatch)
+    # Each request's connection dict, kept alive here so that only bench's close can end it.
+    dicts = []
+    stream_request = gateway._stream_request
+
+    def keeping(endpoint, *args):
+        dicts.append(args[-1])
+        return stream_request(endpoint, *args)
+
+    monkeypatch.setattr(gateway, "_stream_request", keeping)
+    servers = [start_server(_FAST, port=0) for _ in range(3)]
+    try:
+        report = bench(ReplicaSet(endpoints=tuple(s.url for s in servers)), _bench_workload())
+    finally:
+        for server in servers:
+            server.stop()
+    assert report.summary["failure_count"] == 0
+    assert len(dicts) > 3 * 3 and all(d is dicts[0] for d in dicts)
+    # Per endpoint: the user's one kept connection, then the engine-echo fetch's.
+    assert [sum(owner is server for owner, _ in accepted) for server in servers] == [2, 2, 2]
+    for _, thread in accepted:
+        thread.join(timeout=5.0)  # under the handler's 10 s idle timeout
+        assert not thread.is_alive()
+
+
+def test_a_dropped_connection_costs_one_failure_then_reconnects(monkeypatch, kept_server):
+    accepted = _count_connections(monkeypatch)
+    handle_post = _GatewayHandler.do_POST
+    posts = itertools.count(1)
+
+    def dropping(self):
+        handle_post(self)
+        if next(posts) == 2:
+            self.close_connection = True  # the reply did not say so
+
+    monkeypatch.setattr(_GatewayHandler, "do_POST", dropping)
+    report = bench(ReplicaSet(endpoints=(kept_server.url,)), _bench_workload())
+    summary = report.summary
+    assert summary["failure_count"] == 1
+    assert summary["completed"] == summary["submitted"] - 1 >= 3
+    assert len(accepted) == 3  # the first connection, the reconnect and the engine-echo fetch
+
+
+# The default latency model made 10x faster, as the live-stream benchmark runs it.
+_FAST_10X = EngineConfig(**{
+    name: getattr(EngineConfig(), name) / 10.0
+    for name in ("t_download_ms", "t_disk_to_cpu_ms", "t_cpu_to_gpu_ms", "decode_base_ms",
+                 "decode_per_seq_ms", "prefill_base_ms", "prefill_per_token_ms",
+                 "switch_overhead_ms")
+})
+
+
+def test_a_kept_connection_does_not_hold_the_first_token_for_a_delayed_ack():
+    """Nagle's algorithm with the client's delayed ACK would add about 40 ms."""
+    handle = start_server(_FAST_10X, port=0)
+    connections = {}
+    ttft = []
+    origin = time.monotonic()
+    try:
+        for i in range(10):
+            record = gateway._stream_request(
+                handle.url, BASE_ADAPTER, 1, 1, f"r{i}", origin, connections
+            )
+            ttft.append(record.first_token_ms - record.submit_ms)
+        assert len(connections) == 1
+    finally:
+        for connection in connections.values():
+            connection.close()
+        handle.stop()
+    model = prefill_time(_FAST_10X, 1) + decode_gap(_FAST_10X, 1)
+    assert statistics.median(ttft) < model + 10.0
+
+
+_RAW_REQUEST = st.builds(
+    lambda method, path, version, headers, body, cut: (
+        b"%s %s %s\r\n%s\r\n%s" % (method, path, version, b"".join(headers), body)
+    )[:cut],
+    st.sampled_from([b"GET", b"POST", b"PUT", b"HEAD", b"G\x00T"]),
+    st.sampled_from([b"/v1/generate", b"/healthz", b"/v1/metrics", b"/nowhere", b"*"]),
+    st.sampled_from([b"HTTP/1.1", b"HTTP/1.0", b"HTTP/2.0", b"HTTP/x"]),
+    st.lists(st.sampled_from([
+        b"Host: x\r\n", b"Content-Length: 2\r\n", b"Content-Length: 40\r\n",
+        b"Content-Length: -1\r\n", b"Content-Length: 99999999\r\n",
+        b"Transfer-Encoding: chunked\r\n", b"Connection: close\r\n",
+        b"Connection: keep-alive\r\n", b"Expect: 100-continue\r\n", b"\xff: \xfe\r\n",
+    ]), max_size=4),
+    st.one_of(
+        st.binary(max_size=64),
+        st.builds(
+            lambda n, stream: json.dumps(
+                {"input_tokens": 1, "max_new_tokens": n, "stream": stream}).encode(),
+            st.integers(-1, 3), st.booleans(),
+        ),
+    ),
+    st.integers(0, 400),
+)
+
+
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.lists(_RAW_REQUEST, min_size=1, max_size=2))
+def test_raw_request_bytes_are_answered_or_closed(kept_server, capfd, requests):
+    """One or two requests, each possibly cut short, on one connection.
+
+    The reply's form is http.server's (a request it reads as HTTP/0.9 gets a
+    reply without a status line), so the property is the close and a server
+    that still answers.
+    """
+    _exchange(kept_server.port, b"".join(requests))  # a timeout raises
+    assert _exchange(kept_server.port, b"GET /healthz HTTP/1.0\r\n\r\n").endswith(b"\r\n\r\nok")
+    assert capfd.readouterr().err == ""
