@@ -21,8 +21,13 @@ BASE_ADAPTER = "base"
 _ADAPTER_ASSIGNMENTS = ("uniform", "per_user")
 
 
+@functools.cache
 def adapter_name(index: int) -> str:
-    """Canonical adapter identifier; zero-padded so lexical order is numeric order."""
+    """Canonical adapter identifier; zero-padded so lexical order is numeric order.
+
+    Cached, so every request, payload and record naming one adapter shares one
+    string, and the cache holds one entry per index a run has named.
+    """
     return f"adapter-{index:02d}"
 
 

@@ -27,8 +27,10 @@ Protocol, all under one port:
 The server speaks HTTP/1.1 with ``TCP_NODELAY``.  A reply that leaves request
 bytes unread closes the connection: a POST to an unknown path, the 413, the
 400 for a bad ``Content-Length``, a GET with a body, any ``Transfer-Encoding``.
-A stream is chunked, one chunk per event; every generate reply names the
-server's request id in ``X-Request-Id``.
+A stream is chunked, one chunk per event, except to an HTTP/1.0 client,
+which gets the bare events and then the connection's close; every generate
+reply names the server's request id in ``X-Request-Id``.  Once the server is
+stopped, a generate call on a kept connection gets a 503 and the close.
 
 The bench client drives one thread per closed-loop user against a replica
 set, assigning each request to the next endpoint in strict rotation over one
@@ -145,13 +147,16 @@ class LiveEngine:
 
     def submit(
         self, adapter: str, input_tokens: int, max_new_tokens: int
-    ) -> tuple[str, queue.SimpleQueue]:
+    ) -> tuple[str, queue.SimpleQueue] | None:
         """Enqueue a request; returns its id and the token-event queue.
 
         The queue yields one token index (an int) per emitted token and then
-        the request's finished :class:`RequestRecord`.
+        the request's finished :class:`RequestRecord`.  A stopped engine
+        enqueues nothing and returns None.
         """
         with self._cond:
+            if not self._running:
+                return None
             request_id = f"live{next(self._ids):06d}"
             token_queue: queue.SimpleQueue = queue.SimpleQueue()
             self._queues[request_id] = token_queue
@@ -303,7 +308,12 @@ class _GatewayHandler(BaseHTTPRequestHandler):
         if not engine.knows_adapter(adapter):
             self._send_json(404, {"error": _fit([f"unknown adapter: {clip(adapter)}"])[0]})
             return
-        request_id, token_queue = engine.submit(adapter, input_tokens, request.max_new_tokens)
+        submitted = engine.submit(adapter, input_tokens, request.max_new_tokens)
+        if submitted is None:
+            self.close_connection = True
+            self._send_json(503, {"error": "server is stopping"})
+            return
+        request_id, token_queue = submitted
         if request.stream:
             self._stream_response(request_id, token_queue)
         else:
@@ -321,13 +331,18 @@ class _GatewayHandler(BaseHTTPRequestHandler):
             )
 
     def _stream_response(self, request_id: str, token_queue: queue.SimpleQueue) -> None:
+        # An HTTP/1.0 client knows no transfer coding (RFC 9112 section 6.1), so its
+        # stream is sent bare and ends where the connection closes.
+        chunked = self.request_version >= "HTTP/1.1"
+        self.close_connection |= not chunked
+        framing = [("Transfer-Encoding", "chunked")] if chunked else []
         self._send_head(200, ("Content-Type", "text/event-stream"), ("Cache-Control", "no-store"),
-                        ("Transfer-Encoding", "chunked"), ("X-Request-Id", request_id))
-        # One chunk per event, each in one write; then the 14-byte [DONE] chunk and the empty one.
+                        *framing, ("X-Request-Id", request_id))
+        # Chunked: one chunk per event, each in one write; then the [DONE] chunk and the empty one.
         while not isinstance(item := token_queue.get(), RequestRecord):
             event = b'data: {"token_index": %d}\n\n' % item
-            self.wfile.write(b"%x\r\n%s\r\n" % (len(event), event))
-        self.wfile.write(b"e\r\ndata: [DONE]\n\n\r\n0\r\n\r\n")
+            self.wfile.write(b"%x\r\n%s\r\n" % (len(event), event) if chunked else event)
+        self.wfile.write(b"e\r\ndata: [DONE]\n\n\r\n0\r\n\r\n" if chunked else b"data: [DONE]\n\n")
 
 
 class LiveServer(ThreadingHTTPServer):

@@ -1,10 +1,12 @@
-"""Request-level metric derivation, run summaries, and report serialization.
+"""Request records, run summaries, and report serialization.
 
 Latency accounting is split into two disjoint phases so that the totals
 reconcile exactly: time to first token (submit to first token) and streaming
 time (first token to last token).  The end-to-end total is *defined* as the
 sum of the two phases, which keeps the identity ``total == ttft + streaming``
-float-exact rather than merely approximate.
+float-exact rather than merely approximate.  :func:`summarize` reads each
+figure as one column of floats straight from the records, so a summary makes
+no tuple or other object per record beyond one float per column.
 """
 
 from __future__ import annotations
@@ -17,12 +19,10 @@ from dataclasses import dataclass
 from typing import IO, Iterable, NamedTuple, Sequence
 
 __all__ = [
-    "DerivedMetrics",
     "MergeError",
     "RequestRecord",
     "RunReport",
     "SUMMARY_COUNTERS",
-    "derive",
     "merge",
     "percentile",
     "summarize",
@@ -52,32 +52,6 @@ _CSV_FIELDS = tuple(
 )
 
 
-class DerivedMetrics(NamedTuple):
-    """Per-request latency and throughput figures derived from timestamps."""
-
-    total_ms: float
-    ttft_ms: float
-    streaming_ms: float
-    throughput_tok_s: float | None
-
-
-def derive(record: RequestRecord) -> DerivedMetrics:
-    """Compute latency phases and decode throughput for one record.
-
-    Throughput counts only the ``n - 1`` tokens produced during the streaming
-    phase (the first token belongs to the time-to-first-token phase), so it is
-    undefined for single-token responses.
-    """
-    ttft = record.first_token_ms - record.submit_ms
-    streaming = record.last_token_ms - record.first_token_ms
-    seconds = streaming / 1000.0
-    if record.output_tokens_emitted >= 2 and seconds > 0:
-        throughput = (record.output_tokens_emitted - 1) / seconds
-    else:
-        throughput = None
-    return DerivedMetrics(ttft + streaming, ttft, streaming, throughput)
-
-
 def percentile(values: Sequence[float], p: float) -> float:
     """Nearest-rank percentile: the ceil(p * n)-th smallest value (1-based)."""
     if not values:
@@ -98,28 +72,36 @@ def _stat_block(values: Sequence[float]) -> dict[str, float]:
 def summarize(records: Sequence[RequestRecord], run_duration_ms: float) -> dict:
     """Aggregate per-request metrics into a summary mapping.
 
-    Per-request throughput is averaged over the records where it is defined
-    (at least two tokens); aggregate throughput counts every emitted token
-    over the full run duration.
+    Each record's time to first token is ``first - submit`` and its streaming
+    time ``last - first``; its total is their sum.  Per-request throughput
+    counts only the ``n - 1`` tokens of the streaming phase (the first token
+    belongs to the time-to-first-token phase), so it is averaged over the
+    records with at least two tokens and a streaming time that is > 0 in
+    seconds.  Aggregate throughput counts every emitted token over the full
+    run duration.
     """
     if not records:
         return {"request_count": 0}
-    # Each DerivedMetrics is a tuple, so one zip yields its fields as columns.
-    totals, ttfts, streams, rates = zip(*[derive(record) for record in records])
+    ttfts = [record.first_token_ms - record.submit_ms for record in records]
+    streams = [record.last_token_ms - record.first_token_ms for record in records]
     summary: dict = {
         "request_count": len(records),
-        "total_request_ms": _stat_block(totals),
+        "total_request_ms": _stat_block([t + s for t, s in zip(ttfts, streams)]),
         "ttft_ms": _stat_block(ttfts),
         "streaming_ms": _stat_block(streams),
     }
-    throughputs = [rate for rate in rates if rate is not None]
+    throughputs = [
+        (record.output_tokens_emitted - 1) / seconds
+        for record, streaming in zip(records, streams)
+        if record.output_tokens_emitted >= 2 and (seconds := streaming / 1000.0) > 0
+    ]
     if throughputs:
         summary["throughput_tok_s"] = _stat_block(throughputs)
     total_tokens = sum(record.output_tokens_emitted for record in records)
     # A subnormal duration is > 0 in ms but 0 in seconds, so test the divisor.
-    seconds = run_duration_ms / 1000.0
-    if seconds > 0:
-        summary["aggregate_throughput_tok_s"] = total_tokens / seconds
+    run_seconds = run_duration_ms / 1000.0
+    if run_seconds > 0:
+        summary["aggregate_throughput_tok_s"] = total_tokens / run_seconds
     return summary
 
 

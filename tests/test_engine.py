@@ -237,6 +237,14 @@ def test_run_conservation_and_accounting():
         assert record.submit_ms <= record.first_token_ms <= record.last_token_ms
 
 
+@pytest.mark.parametrize("assignment", ["uniform", "per_user"])
+def test_the_records_of_a_run_hold_one_string_per_adapter(assignment):
+    workload = _workload(users=8, duration_ms=3000.0, n_adapters=5, adapter_assignment=assignment)
+    records = run(EngineConfig(), workload, prewarm_adapters=True).records
+    assert len({record.adapter for record in records}) == 5
+    assert len({id(record.adapter) for record in records}) == 5
+
+
 def test_run_batch_cap_defers_and_deadline_discards():
     config = EngineConfig(max_batch_size=2)
     report = run(config, _workload(users=5))

@@ -181,6 +181,18 @@ def test_bench_single_user_identity_and_shape(server):
     assert report.config["engine"] == _FAST.to_dict()
 
 
+def test_the_records_of_a_bench_hold_one_string_per_adapter():
+    handle = start_server(_FAST, port=0, adapters=[adapter_name(i) for i in range(3)])
+    try:
+        report = bench(ReplicaSet(endpoints=(handle.url,)), _bench_workload(n_adapters=3, users=3))
+    finally:
+        handle.stop()
+    assert report.summary["failure_count"] == 0
+    names = {record.adapter for record in report.records}
+    assert len(names) > 1
+    assert len({id(record.adapter) for record in report.records}) == len(names)
+
+
 def test_bench_two_replicas_round_robin_within_one():
     first = start_server(_FAST, port=0)
     second = start_server(_FAST, port=0)
@@ -603,6 +615,48 @@ def test_a_kept_connection_serves_the_request_after_a_generate_call(kept_server,
     else:
         assert json.loads(first.partition(b"\r\n\r\n")[2])["output_tokens"] == 3
     assert second.endswith(b"\r\n\r\nok")
+
+
+@pytest.mark.parametrize("connection", [b"", b"Connection: keep-alive\r\n"],
+                         ids=["plain", "keep-alive"])
+def test_an_http_1_0_stream_is_sent_bare_and_ends_at_the_close(kept_server, capfd, connection):
+    """HTTP/1.0 has no chunked coding (RFC 9112 section 6.1): the events, [DONE], then EOF."""
+    body = json.dumps({"input_tokens": 1, "max_new_tokens": 4, "stream": True}).encode()
+    head = b"POST /v1/generate HTTP/1.0\r\n%sContent-Length: %d\r\n\r\n" % (connection, len(body))
+    head_block, _, events = _raw_request(kept_server.port, head + body).partition(b"\r\n\r\n")
+    assert head_block.startswith(b"HTTP/1.1 200 ")
+    assert b"Transfer-Encoding" not in head_block
+    assert events == (
+        b"".join(b'data: {"token_index": %d}\n\n' % i for i in range(4)) + b"data: [DONE]\n\n"
+    )
+    assert capfd.readouterr().err == ""
+
+
+def test_a_generate_call_on_a_kept_connection_after_stop_is_refused_at_once(capfd):
+    handle = start_server(_FAST, port=0)
+    connection = http.client.HTTPConnection("127.0.0.1", handle.port, timeout=1.0)
+    body = json.dumps({"input_tokens": 1, "max_new_tokens": 2})
+    try:
+        connection.request("POST", "/v1/generate", body)
+        assert json.loads(connection.getresponse().read())["output_tokens"] == 2
+        handle.stop()
+        started = time.monotonic()
+        connection.request("POST", "/v1/generate", body)
+        try:
+            response = connection.getresponse()  # a timeout raises
+        except http.client.RemoteDisconnected:  # EOF is a refusal too
+            pass
+        else:
+            assert response.status == 503
+            assert response.headers["Connection"] == "close"
+            response.read()
+        assert time.monotonic() - started < 1.0
+    finally:
+        connection.close()
+        handle.stop()
+    assert handle.engine.submit(BASE_ADAPTER, 1, 1) is None
+    assert len(handle.engine.report().records) == 1
+    assert capfd.readouterr().err == ""
 
 
 def test_every_generate_reply_names_its_server_request_id(kept_server):

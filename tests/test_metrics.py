@@ -1,14 +1,15 @@
-"""Metric derivations, nearest-rank percentiles, summaries, and report merging."""
+"""Per-record figures, nearest-rank percentiles, summaries, and report merging."""
 
 from __future__ import annotations
 
 import io
 import math
+import tracemalloc
 from collections import Counter
 from dataclasses import replace
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from adapterd.core import EngineConfig, WorkloadConfig
@@ -16,7 +17,6 @@ from adapterd.metrics import (
     MergeError,
     RequestRecord,
     RunReport,
-    derive,
     merge,
     percentile,
     summarize,
@@ -47,18 +47,18 @@ def _report(records, duration=1000.0, d0=12.0):
     )
 
 
-def test_derive_reference_values():
-    metrics = derive(_record())
-    assert metrics.total_ms == 157.5
-    assert metrics.ttft_ms == 107.5
-    assert metrics.streaming_ms == 50.0
-    assert metrics.throughput_tok_s == 80.0
+def test_summary_of_one_record_reference_values():
+    summary = summarize([_record()], 1000.0)
+    assert summary["total_request_ms"]["average"] == 157.5
+    assert summary["ttft_ms"]["average"] == 107.5
+    assert summary["streaming_ms"]["average"] == 50.0
+    assert summary["throughput_tok_s"]["average"] == 80.0
 
 
-def test_derive_single_token_throughput_undefined():
-    metrics = derive(_record(out=1, first=92.65, last=92.65, submit=0.0))
-    assert metrics.throughput_tok_s is None
-    assert metrics.streaming_ms == 0.0
+def test_summary_of_one_single_token_record_has_no_throughput():
+    summary = summarize([_record(out=1, first=92.65, last=92.65, submit=0.0)], 1000.0)
+    assert "throughput_tok_s" not in summary
+    assert summary["streaming_ms"]["average"] == 0.0
 
 
 @given(
@@ -66,10 +66,84 @@ def test_derive_single_token_throughput_undefined():
     st.floats(0, 1e5, allow_nan=False),
     st.floats(0, 1e6, allow_nan=False),
 )
-def test_derive_identity_is_float_exact(submit, ttft_gap, stream_gap):
+def test_summary_identity_is_float_exact(submit, ttft_gap, stream_gap):
     record = _record(submit=submit, first=submit + ttft_gap, last=submit + ttft_gap + stream_gap)
-    metrics = derive(record)
-    assert metrics.total_ms == metrics.ttft_ms + metrics.streaming_ms
+    summary = summarize([record], 1000.0)  # the average of one value is that value
+    assert summary["total_request_ms"]["average"] == (
+        summary["ttft_ms"]["average"] + summary["streaming_ms"]["average"]
+    )
+
+
+def _summary_by_record(records, run_duration_ms):
+    """The summary built from one (total, ttft, streaming, throughput) tuple per record."""
+    if not records:
+        return {"request_count": 0}
+    rows = []
+    for record in records:
+        ttft = record.first_token_ms - record.submit_ms
+        streaming = record.last_token_ms - record.first_token_ms
+        seconds = streaming / 1000.0
+        emitted = record.output_tokens_emitted
+        rate = (emitted - 1) / seconds if emitted >= 2 and seconds > 0 else None
+        rows.append((ttft + streaming, ttft, streaming, rate))
+
+    def block(values):
+        return {"average": sum(values) / len(values),
+                "p90": sorted(values)[math.ceil(0.9 * len(values)) - 1]}
+
+    totals, ttfts, streams, rates = zip(*rows)
+    summary = {
+        "request_count": len(records),
+        "total_request_ms": block(totals),
+        "ttft_ms": block(ttfts),
+        "streaming_ms": block(streams),
+    }
+    if defined := [rate for rate in rates if rate is not None]:
+        summary["throughput_tok_s"] = block(defined)
+    seconds = run_duration_ms / 1000.0
+    if seconds > 0:
+        tokens = sum(record.output_tokens_emitted for record in records)
+        summary["aggregate_throughput_tok_s"] = tokens / seconds
+    return summary
+
+
+# Zero, subnormal and normal instants, so equal timestamps and subnormal phases are common.
+_INSTANTS = st.one_of(st.sampled_from([0.0, 5e-324, 1e-310, 1.0]), st.floats(0, 1e6))
+
+
+@st.composite
+def _timed_records(draw):
+    records = []
+    for i in range(draw(st.integers(0, 30))):
+        submit, first, last = sorted(draw(st.tuples(_INSTANTS, _INSTANTS, _INSTANTS)))
+        out = draw(st.sampled_from([1, 2, 7]))
+        records.append(_record(rid=f"r{i:02d}", out=out, submit=submit, first=first, last=last))
+    return records
+
+
+@settings(max_examples=200)
+@given(_timed_records(), st.sampled_from([0.0, 5e-324, 1.0, 60_000.0]))
+@example([_record(out=1, first=90.0, last=90.0)], 1000.0)  # single token
+@example([_record(out=3, submit=5.0, first=5.0, last=5.0)], 1000.0)  # equal timestamps
+@example([_record(out=2, submit=0.0, first=0.0, last=5e-324)], 5e-324)  # subnormal duration
+def test_summarize_equals_the_summary_built_per_record(records, run_duration_ms):
+    assert summarize(records, run_duration_ms) == _summary_by_record(records, run_duration_ms)
+
+
+@pytest.mark.parametrize("tokens", [1, 5], ids=["one-token", "multi-token"])
+def test_summarize_peak_memory_stays_under_200_bytes_per_record(tokens):
+    n = 10_000
+    records = [
+        _record(rid=f"r{i:05d}", out=tokens, submit=float(i), first=i + 50.5, last=i + 80.25)
+        for i in range(n)
+    ]
+    tracemalloc.start()
+    try:
+        summarize(records, 60_000.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / n < 200
 
 
 def test_percentile_nearest_rank_decile_list():
