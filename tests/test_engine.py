@@ -184,6 +184,16 @@ def test_an_id_already_in_flight_is_rejected():
         core.run_until_idle()
 
 
+def test_an_id_still_queued_is_rejected():
+    core = EngineCore(EngineConfig(max_batch_size=1), [])
+    core.schedule_submit(Request("x", "base", 100, 5, 0.0))
+    # "x" holds the one slot until 158.0, so "a" still waits in its queue at 2.0.
+    core.schedule_submit(Request("a", "base", 100, 5, 1.0))
+    core.schedule_submit(Request("a", "base", 100, 5, 2.0))
+    with pytest.raises(DuplicateRequestError):
+        core.run_until_idle()
+
+
 def test_a_finish_frees_its_batch_slot():
     core = EngineCore(EngineConfig(max_batch_size=1), [])
     core.schedule_submit(Request("a", "base", 100, 5, 0.0))
