@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import itertools
 from heapq import heappop, heappush
-from typing import Callable, Sequence
+from typing import Any, Callable, Sequence
 
 from .cache import AdapterCache
 from .core import (
@@ -46,7 +46,7 @@ from .core import (
     validate_config,
 )
 from .metrics import RequestRecord, RunReport, summarize
-from .scheduler import DuplicateRequestError, Scheduler
+from .scheduler import Scheduler
 from .workload import User, user_tick
 
 __all__ = [
@@ -88,13 +88,18 @@ def single_request_timeline(
     return ttft, streaming, ttft + streaming
 
 
+class DuplicateRequestError(ValueError):
+    """A request was submitted under an id that is still queued or in flight."""
+
+
 class _Flight:
-    """Decode state of one admitted sequence; the payload of its prefill and token events."""
+    """One request from its submit event to its finish; the payload of each of its events."""
 
-    __slots__ = ("request", "emitted", "first_ms")
+    __slots__ = ("request", "tag", "emitted", "first_ms")
 
-    def __init__(self, request: Request) -> None:
+    def __init__(self, request: Request, tag: Any) -> None:
         self.request = request
+        self.tag = tag
         self.emitted = 0
         self.first_ms = 0.0
 
@@ -118,8 +123,8 @@ class EngineCore:
         *,
         prewarm: bool = False,
         deadline: float | None = None,
-        on_token: Callable[[str, int, float], None] | None = None,
-        on_finish: Callable[[RequestRecord], None] | None = None,
+        on_token: Callable[[Any, int, float], None] | None = None,
+        on_finish: Callable[[Any, RequestRecord], None] | None = None,
     ) -> None:
         self._config = config
         self._deadline = float("inf") if deadline is None else deadline
@@ -130,6 +135,7 @@ class EngineCore:
         self.records: list[RequestRecord] = []
         self.submitted = 0
         self._flights: dict[str, _Flight] = {}
+        self._batch_size = 0
         self._heap: list[tuple[float, int, int, object]] = []
         self._counter = itertools.count()
         self._streaming_count = 0
@@ -143,8 +149,8 @@ class EngineCore:
     def _push(self, time_: float, prio: int, payload: object = None) -> None:
         heappush(self._heap, (time_, prio, next(self._counter), payload))
 
-    def schedule_submit(self, request: Request) -> None:
-        self._push(request.submit_time, _PRIO_SUBMIT, request)
+    def schedule_submit(self, request: Request, tag: Any = None) -> None:
+        self._push(request.submit_time, _PRIO_SUBMIT, _Flight(request, tag))
 
     def run_until_idle(self) -> None:
         heap = self._heap
@@ -177,8 +183,9 @@ class EngineCore:
 
     # -- handlers ------------------------------------------------------------
 
-    def _handle_submit(self, request: Request, now: float) -> None:
-        if request.id in self._flights:
+    def _handle_submit(self, flight: _Flight, now: float) -> None:
+        request = flight.request
+        if self._flights.setdefault(request.id, flight) is not flight:
             raise DuplicateRequestError(request.id)
         self.scheduler.enqueue(request)
         self.submitted += 1
@@ -188,17 +195,17 @@ class EngineCore:
         self._plan_times.discard(now)
         self.cache.on_clock(now)
         config = self._config
-        free = config.max_batch_size - len(self._flights)
-        admitted = False
+        free = config.max_batch_size - self._batch_size
+        admitted: tuple[Request, ...] = ()
         if now < self._deadline and free > 0 and self.scheduler.has_backlog():
             self._step += 1
-            plan = self.scheduler.plan_admission(
+            admitted = self.scheduler.plan_admission(
                 self.cache, now, free, config.admission_per_step, self._step
-            )
-            for request in plan.admitted:
-                flight = self._flights[request.id] = _Flight(request)
+            ).admitted
+            self._batch_size += len(admitted)
+            for request in admitted:
+                flight = self._flights[request.id]
                 self._push(now + prefill_time(config, request.input_tokens), _PRIO_PREFILL, flight)
-                admitted = True
         next_ready = self.cache.next_ready_at()
         if next_ready is not None:
             self._request_plan(next_ready)
@@ -229,7 +236,7 @@ class EngineCore:
                 counts = self._streaming_adapters
                 counts[request.adapter] = counts.get(request.adapter, 0) + 1
         if self._on_token is not None:
-            self._on_token(request.id, emitted - 1, now)
+            self._on_token(flight.tag, emitted - 1, now)
         if emitted >= request.max_new_tokens:
             self._finish(flight, now)
         else:
@@ -245,6 +252,7 @@ class EngineCore:
             if counts[request.adapter] == 0:
                 del counts[request.adapter]
         del self._flights[request.id]
+        self._batch_size -= 1
         record = RequestRecord(
             request.id,
             request.adapter,
@@ -258,7 +266,16 @@ class EngineCore:
         if self.scheduler.has_backlog():
             self._request_plan(now)
         if self._on_finish is not None:
-            self._on_finish(record)
+            self._on_finish(flight.tag, record)
+
+    def abandon(self) -> list[Any]:
+        """End the run: drop every unfinished request and its events; return their tags."""
+        pending = [entry[3] for entry in self._heap if entry[1] == _PRIO_SUBMIT]
+        tags = [flight.tag for flight in (*self._flights.values(), *pending)]
+        self._flights.clear()
+        self._heap.clear()
+        self.scheduler.drain_queued()
+        return tags
 
     # -- reporting -----------------------------------------------------------
 
@@ -301,8 +318,6 @@ def run(
     validate_config(engine_config, workload_config)
     deadline = workload_config.duration_ms
     adapters = [adapter_name(i) for i in range(workload_config.n_adapters)]
-    users = [User(user_index_offset + i, workload_config) for i in range(workload_config.users)]
-    rid_to_user: dict[str, int] = {}
     id_counter = itertools.count(1)
 
     core = EngineCore(
@@ -310,26 +325,25 @@ def run(
         adapters,
         prewarm=prewarm_adapters,
         deadline=deadline,
-        on_finish=lambda record: _next(rid_to_user.pop(record.request_id), record.last_token_ms),
+        on_finish=lambda user, record: _next(user, record.last_token_ms),
     )
 
-    def _next(user_index: int, now: float) -> None:
+    def _next(user: User, now: float) -> None:
         """Let an idle user submit its next request at `now`, or stop."""
-        payload = user_tick(users[user_index], now, deadline, workload_config)
+        payload = user_tick(user, now, deadline, workload_config)
         if payload is None:
             return
         request_id = f"{request_id_prefix}{next(id_counter):06d}"
-        rid_to_user[request_id] = user_index
         core.schedule_submit(
-            Request(request_id, payload.adapter, payload.input_tokens, payload.output_tokens, now)
+            Request(request_id, payload.adapter, payload.input_tokens, payload.output_tokens, now),
+            user,
         )
 
-    for user_index in range(len(users)):
-        _next(user_index, 0.0)
+    for i in range(workload_config.users):
+        _next(User(user_index_offset + i, workload_config), 0.0)
 
     core.run_until_idle()
     # The callback closes over `_next`, which closes over `core`: drop it so the
     # finished engine is freed by reference counting, not by a later cycle scan.
     core._on_finish = None
-    discarded = core.scheduler.drain_queued()
-    return core.report(workload_config, deadline, len(discarded))
+    return core.report(workload_config, deadline, len(core.abandon()))

@@ -108,9 +108,9 @@ class LiveEngine:
 
     One dispatcher thread owns the engine; it sleeps on a condition variable
     until either the next scheduled event is due or a handler thread submits
-    new work.  Token and finish callbacks land on per-request queues, which
-    keeps HTTP handler threads entirely outside the engine lock while they
-    stream.
+    new work.  Each request's tag is its token queue, where the token and
+    finish callbacks put their events (on the dispatcher, under the lock), so
+    HTTP handler threads stream entirely outside the engine lock.
     """
 
     def __init__(
@@ -127,10 +127,9 @@ class LiveEngine:
             adapters,
             prewarm=prewarm,
             deadline=None,
-            on_token=self._emit_token,
-            on_finish=self._emit_finish,
+            on_token=lambda token_queue, index, _now: token_queue.put(index),
+            on_finish=lambda token_queue, record: token_queue.put(record),
         )
-        self._queues: dict[str, queue.SimpleQueue] = {}
         self._ids = itertools.count(1)
         self._origin = time.monotonic()
         self._running = True
@@ -158,11 +157,9 @@ class LiveEngine:
             if not self._running:
                 return None
             request_id = f"live{next(self._ids):06d}"
+            request = Request(request_id, adapter, input_tokens, max_new_tokens, self.now_ms())
             token_queue: queue.SimpleQueue = queue.SimpleQueue()
-            self._queues[request_id] = token_queue
-            self._core.schedule_submit(
-                Request(request_id, adapter, input_tokens, max_new_tokens, self.now_ms())
-            )
+            self._core.schedule_submit(request, token_queue)
             self._cond.notify_all()
         return request_id, token_queue
 
@@ -176,18 +173,6 @@ class LiveEngine:
             self._running = False
             self._cond.notify_all()
         self._thread.join(timeout=5.0)
-
-    # Callbacks run on the dispatcher thread with the condition held.
-
-    def _emit_token(self, request_id: str, token_index: int, _now: float) -> None:
-        token_queue = self._queues.get(request_id)
-        if token_queue is not None:
-            token_queue.put(token_index)
-
-    def _emit_finish(self, record: RequestRecord) -> None:
-        token_queue = self._queues.pop(record.request_id, None)
-        if token_queue is not None:
-            token_queue.put(record)
 
     def _dispatch_loop(self) -> None:
         with self._cond:

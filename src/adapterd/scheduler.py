@@ -26,10 +26,6 @@ from .cache import AdapterCache
 from .core import Request, VirtualTime
 
 
-class DuplicateRequestError(ValueError):
-    pass
-
-
 @dataclass(frozen=True)
 class AdmissionPlan:
     """Requests admitted this step; each decodes under its own ``request.adapter``."""
@@ -42,18 +38,14 @@ class Scheduler:
         self._queues: dict[str, deque[Request]] = {}
         self._order: list[tuple[int, str]] = []
         self._last_served: dict[str, int] = {}
-        self._queued_ids: set[str] = set()
 
     def enqueue(self, request: Request) -> None:
-        if request.id in self._queued_ids:
-            raise DuplicateRequestError(request.id)
         adapter = request.adapter
         queue = self._queues.get(adapter)
         if queue is None:
             queue = self._queues[adapter] = deque()
             heappush(self._order, (self._last_served.get(adapter, -1), adapter))
         queue.append(request)
-        self._queued_ids.add(request.id)
 
     def plan_admission(
         self,
@@ -89,8 +81,6 @@ class Scheduler:
                     admitted.append(queue.popleft())
                     room -= 1
                     progress = True
-        for request in admitted:
-            self._queued_ids.discard(request.id)
         last_served = self._last_served
         for adapter in served:
             last_served[adapter] = step
@@ -102,12 +92,11 @@ class Scheduler:
         return AdmissionPlan(tuple(admitted))
 
     def has_backlog(self) -> bool:
-        return bool(self._queued_ids)
+        return bool(self._queues)
 
     def drain_queued(self) -> list[Request]:
         """Remove and return every still-queued request (end-of-run discard)."""
         leftovers = [req for queue in self._queues.values() for req in queue]
         self._queues.clear()
         self._order.clear()
-        self._queued_ids.clear()
         return leftovers

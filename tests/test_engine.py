@@ -30,13 +30,13 @@ from hypothesis import strategies as st
 import adapterd.engine as engine
 from adapterd.core import EngineConfig, Request, WorkloadConfig, scenario_from_dict
 from adapterd.engine import (
+    DuplicateRequestError,
     EngineCore,
     decode_gap,
     prefill_time,
     run,
     single_request_timeline,
 )
-from adapterd.scheduler import DuplicateRequestError
 from adapterd.workload import user_tick
 
 TOL = 1e-9

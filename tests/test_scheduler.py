@@ -4,13 +4,12 @@ from __future__ import annotations
 
 from collections import deque
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from adapterd.cache import AdapterCache, CacheOutcome
 from adapterd.core import BASE_ADAPTER, EngineConfig, Request, adapter_name
-from adapterd.scheduler import DuplicateRequestError, Scheduler
+from adapterd.scheduler import Scheduler
 
 
 def _req(rid, adapter, submit=0.0):
@@ -35,13 +34,6 @@ def test_enqueue_fifo_order():
     sched.enqueue(_req("r2", adapter_name(0)))
     plan = sched.plan_admission(_warm_cache(), 0.0, free_slots=8, budget=8, step=0)
     assert [req.id for req in plan.admitted] == ["r1", "r2"]
-
-
-def test_enqueue_duplicate_id_rejected():
-    sched = Scheduler()
-    sched.enqueue(_req("r1", adapter_name(0)))
-    with pytest.raises(DuplicateRequestError):
-        sched.enqueue(_req("r1", adapter_name(1)))
 
 
 def test_plan_normative_example():
