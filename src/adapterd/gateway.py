@@ -150,8 +150,9 @@ class LiveEngine:
         """Enqueue a request; returns its id and the token-event queue.
 
         The queue yields one token index (an int) per emitted token and then
-        the request's finished :class:`RequestRecord`.  A stopped engine
-        enqueues nothing and returns None.
+        the request's finished :class:`RequestRecord`, or None where
+        :meth:`stop` cut the request.  A stopped engine enqueues nothing and
+        returns None.
         """
         with self._cond:
             if not self._running:
@@ -169,8 +170,11 @@ class LiveEngine:
             return self._core.report(None, self.now_ms(), 0)
 
     def stop(self) -> None:
+        """Stop the dispatcher; each request not yet finished gets the cut marker, None."""
         with self._cond:
             self._running = False
+            for token_queue in self._core.abandon():
+                token_queue.put(None)
             self._cond.notify_all()
         self._thread.join(timeout=5.0)
 
@@ -295,25 +299,31 @@ class _GatewayHandler(BaseHTTPRequestHandler):
             return
         submitted = engine.submit(adapter, input_tokens, request.max_new_tokens)
         if submitted is None:
-            self.close_connection = True
-            self._send_json(503, {"error": "server is stopping"})
+            self._send_stopping()
             return
         request_id, token_queue = submitted
         if request.stream:
             self._stream_response(request_id, token_queue)
-        else:
-            while not isinstance(item := token_queue.get(), RequestRecord):
-                pass
-            self._send_json(
-                200,
-                {
-                    "request_id": request_id,
-                    "adapter": adapter,
-                    "input_tokens": input_tokens,
-                    "output_tokens": item.output_tokens_emitted,
-                },
-                ("X-Request-Id", request_id),
-            )
+            return
+        while isinstance(item := token_queue.get(), int):
+            pass
+        if item is None:  # cut by stop
+            self._send_stopping()
+            return
+        self._send_json(
+            200,
+            {
+                "request_id": request_id,
+                "adapter": adapter,
+                "input_tokens": input_tokens,
+                "output_tokens": item.output_tokens_emitted,
+            },
+            ("X-Request-Id", request_id),
+        )
+
+    def _send_stopping(self) -> None:
+        self.close_connection = True
+        self._send_json(503, {"error": "server is stopping"})
 
     def _stream_response(self, request_id: str, token_queue: queue.SimpleQueue) -> None:
         # An HTTP/1.0 client knows no transfer coding (RFC 9112 section 6.1), so its
@@ -324,9 +334,12 @@ class _GatewayHandler(BaseHTTPRequestHandler):
         self._send_head(200, ("Content-Type", "text/event-stream"), ("Cache-Control", "no-store"),
                         *framing, ("X-Request-Id", request_id))
         # Chunked: one chunk per event, each in one write; then the [DONE] chunk and the empty one.
-        while not isinstance(item := token_queue.get(), RequestRecord):
+        while isinstance(item := token_queue.get(), int):
             event = b'data: {"token_index": %d}\n\n' % item
             self.wfile.write(b"%x\r\n%s\r\n" % (len(event), event) if chunked else event)
+        if item is None:  # cut by stop: no [DONE] and no last chunk, so the client sees it end short
+            self.close_connection = True
+            return
         self.wfile.write(b"e\r\ndata: [DONE]\n\n\r\n0\r\n\r\n" if chunked else b"data: [DONE]\n\n")
 
 
@@ -460,6 +473,8 @@ def _stream_request(
                 first_ms = stamp
             last_ms = stamp
             emitted += 1
+        else:  # http.client ends a cut chunked body quietly, as it ends a bare one
+            raise ValueError("stream closed before [DONE]")
         response.read()  # the rest of the body, so the connection can carry the next request
         if first_ms is None:
             raise ValueError("stream closed before the first token")

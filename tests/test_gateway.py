@@ -27,6 +27,7 @@ from adapterd.gateway import (
     ReplicaSet,
     _fit,
     _GatewayHandler,
+    _stream_request,
     bench,
     start_server,
 )
@@ -656,6 +657,55 @@ def test_a_generate_call_on_a_kept_connection_after_stop_is_refused_at_once(capf
         handle.stop()
     assert handle.engine.submit(BASE_ADAPTER, 1, 1) is None
     assert len(handle.engine.report().records) == 1
+    assert capfd.readouterr().err == ""
+
+
+def test_stop_ends_every_call_still_in_flight(monkeypatch, capfd):
+    """A stream is cut short with no [DONE], a JSON call gets a 503, and every handler exits."""
+    accepted = _count_connections(monkeypatch)
+    handle = start_server(_FAST, port=0)
+    ended = {}  # caller -> (what it saw, when its call ended)
+
+    def call(kind):
+        body = json.dumps({"input_tokens": 1, "max_new_tokens": 2000, "stream": kind != "json"})
+        connection = http.client.HTTPConnection("127.0.0.1", handle.port, timeout=5.0)
+        seen = []
+        try:
+            if kind == "bench":  # 2,000 tokens at 2 ms each take ~4 s unless cut
+                seen.append(_stream_request(handle.url, BASE_ADAPTER, 1, 2000, "b",
+                                            time.monotonic(), {handle.url: connection}))
+            elif kind == "json":
+                connection.request("POST", "/v1/generate", body)
+                response = connection.getresponse()
+                seen = [response.status, response.headers["Connection"], response.read()]
+            else:
+                connection.request("POST", "/v1/generate", body)
+                seen = list(connection.getresponse())
+        except (OSError, ValueError, http.client.HTTPException) as error:
+            seen.append(error)
+        finally:
+            connection.close()
+            ended[kind] = seen, time.monotonic()
+
+    callers = [threading.Thread(target=call, args=(kind,), daemon=True)
+               for kind in ("stream", "bench", "json")]
+    for caller in callers:
+        caller.start()
+    time.sleep(0.3)
+    stopped = time.monotonic()
+    handle.stop()
+    for caller in callers:
+        caller.join(timeout=5.0)
+    streamed, replied, failure = ended["stream"][0], ended["json"][0], ended["bench"][0]
+    assert streamed[0].startswith(b"data: {") and b"data: [DONE]\n" not in streamed
+    assert len(streamed) < 2 * 2000
+    assert replied == [503, "close", b'{"error": "server is stopping"}\n']
+    assert [str(error) for error in failure] == ["stream closed before [DONE]"]
+    assert max(end for _, end in ended.values()) - stopped < 1.0
+    assert len(accepted) == 3
+    for _, thread in accepted:
+        thread.join(timeout=1.0)
+        assert not thread.is_alive()
     assert capfd.readouterr().err == ""
 
 
