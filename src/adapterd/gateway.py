@@ -120,7 +120,7 @@ class LiveEngine:
         *,
         prewarm: bool = False,
     ) -> None:
-        self._adapters = frozenset(adapters)
+        self._adapters = {name: name for name in (BASE_ADAPTER, *adapters)}
         self._cond = threading.Condition()
         self._core = EngineCore(
             config,
@@ -141,8 +141,9 @@ class LiveEngine:
     def now_ms(self) -> float:
         return _now_ms(self._origin)
 
-    def knows_adapter(self, adapter: str) -> bool:
-        return adapter == BASE_ADAPTER or adapter in self._adapters
+    def adapter(self, name: str) -> str | None:
+        """The engine's own string for adapter `name` (the base model too), or None."""
+        return self._adapters.get(name)
 
     def submit(
         self, adapter: str, input_tokens: int, max_new_tokens: int
@@ -291,11 +292,11 @@ class _GatewayHandler(BaseHTTPRequestHandler):
             self._send_json(400, {"violations": _fit(violations)})
             return
         request = _GenerateBody(**body)
-        adapter = request.adapter
         input_tokens = request.input_tokens or len(request.prompt.split())
         engine = self.server.engine
-        if not engine.knows_adapter(adapter):
-            self._send_json(404, {"error": _fit([f"unknown adapter: {clip(adapter)}"])[0]})
+        adapter = engine.adapter(request.adapter)  # so each record shares one string per name
+        if adapter is None:
+            self._send_json(404, {"error": _fit([f"unknown adapter: {clip(request.adapter)}"])[0]})
             return
         submitted = engine.submit(adapter, input_tokens, request.max_new_tokens)
         if submitted is None:

@@ -189,9 +189,11 @@ def test_the_records_of_a_bench_hold_one_string_per_adapter():
     finally:
         handle.stop()
     assert report.summary["failure_count"] == 0
-    names = {record.adapter for record in report.records}
-    assert len(names) > 1
-    assert len({id(record.adapter) for record in report.records}) == len(names)
+    server_records = handle.engine.report().records
+    for records in (report.records, server_records):
+        names = {record.adapter for record in records}
+        assert len(names) > 1
+        assert len({id(record.adapter) for record in records}) == len(names)
 
 
 def test_bench_two_replicas_round_robin_within_one():
