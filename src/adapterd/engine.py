@@ -54,7 +54,6 @@ __all__ = [
     "decode_gap",
     "prefill_time",
     "run",
-    "single_request_timeline",
 ]
 
 # Same-instant event ordering (lower runs first).
@@ -74,18 +73,6 @@ def prefill_time(config: EngineConfig, input_tokens: int) -> float:
 def decode_gap(config: EngineConfig, streaming: int) -> float:
     """Milliseconds until a sequence's next token while `streaming` sequences stream."""
     return config.decode_base_ms + config.decode_per_seq_ms * streaming
-
-
-def single_request_timeline(
-    config: EngineConfig, input_tokens: int, output_tokens: int
-) -> tuple[float, float, float]:
-    """Closed-form (ttft, streaming, total) for one request on an idle engine."""
-    if output_tokens < 1:
-        raise ValueError(f"output_tokens must be >= 1, got {output_tokens}")
-    gap = decode_gap(config, 1)
-    ttft = prefill_time(config, input_tokens) + gap
-    streaming = (output_tokens - 1) * gap
-    return ttft, streaming, ttft + streaming
 
 
 class DuplicateRequestError(ValueError):

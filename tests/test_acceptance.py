@@ -16,12 +16,12 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from conftest import record_verdict
+from conftest import record_verdict, single_request_timeline
 from test_cache import _run_trace
 
 from adapterd.cli import _resolve_scenario, main
 from adapterd.core import EngineConfig, WorkloadConfig
-from adapterd.engine import run, single_request_timeline
+from adapterd.engine import run
 from adapterd.gateway import ReplicaSet, bench, start_server
 from adapterd.metrics import summarize
 from adapterd.profiler import (

@@ -25,18 +25,12 @@ from importlib import resources
 
 import pytest
 from hypothesis import assume, example, given, settings
+from conftest import single_request_timeline
 from hypothesis import strategies as st
 
 import adapterd.engine as engine
 from adapterd.core import EngineConfig, Request, WorkloadConfig, scenario_from_dict
-from adapterd.engine import (
-    DuplicateRequestError,
-    EngineCore,
-    decode_gap,
-    prefill_time,
-    run,
-    single_request_timeline,
-)
+from adapterd.engine import DuplicateRequestError, EngineCore, decode_gap, prefill_time, run
 from adapterd.workload import user_tick
 
 TOL = 1e-9

@@ -134,7 +134,6 @@ def test_unused_import_check_sees_a_dotted_import_past_its_sibling():
 _UNCALLED_PUBLIC = {
     "bundled_fixture_path": "README documents it as the way to reach the bundled fixtures",
     "predict": "C11's oracle applies a fitted model with it; a `lift --predict` would call it",
-    "single_request_timeline": "C8 checks the engine against this closed form",
 }
 
 
