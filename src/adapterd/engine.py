@@ -28,6 +28,14 @@ while a backlog remains, so a saturated engine plans at its own cadence
 instead of busy-looping.  At most one plan is pending per instant; a second
 plan runs at the same instant only when the first started a zero-latency
 fetch, which is then due at once.
+
+One registry, ``EngineCore._flights``, holds each request by id from its
+submit event to its finish, queued or in flight; a submit whose id is in it
+raises :class:`DuplicateRequestError`, and a finished id may be used again.
+Each request carries its submitter's tag, which the token and finish
+callbacks receive, so no driver keeps a map of its own.
+:meth:`EngineCore.abandon` ends a run: ``run`` counts its discards with it,
+and the live server's stop cuts each unfinished request with it.
 """
 
 from __future__ import annotations
@@ -95,12 +103,13 @@ class EngineCore:
     """Event-driven replica core shared by the simulator and the live server.
 
     The core owns the event heap, the admission scheduler, the tiered adapter
-    cache and the batch: ``_flights`` holds each admitted, unfinished sequence
-    by request id, at most ``max_batch_size`` of them.  Drivers push
-    submissions with :meth:`schedule_submit` and advance time with
-    :meth:`run_until_idle` (virtual time) or :meth:`process_due` (wall time).
-    ``on_token`` fires for every emitted token; ``on_finish`` fires after a
-    request's record is appended.
+    cache and the request registry: ``_flights`` holds each submitted,
+    unfinished request by id, and ``_batch_size`` counts the admitted ones,
+    at most ``max_batch_size``.  Drivers push submissions with
+    :meth:`schedule_submit` and advance time with :meth:`run_until_idle`
+    (virtual time) or :meth:`process_due` (wall time).  ``on_token(tag,
+    index, time)`` fires for every emitted token; ``on_finish(tag, record)``
+    fires after a request's record is appended.
     """
 
     def __init__(

@@ -30,7 +30,10 @@ bytes unread closes the connection: a POST to an unknown path, the 413, the
 A stream is chunked, one chunk per event, except to an HTTP/1.0 client,
 which gets the bare events and then the connection's close; every generate
 reply names the server's request id in ``X-Request-Id``.  Once the server is
-stopped, a generate call on a kept connection gets a 503 and the close.
+stopped, a generate call on a kept connection gets a 503 and the close.  A
+call still in flight at the stop is cut: the engine abandons it and its
+handler gets the cut marker, so a stream closes with no ``[DONE]`` and no
+last chunk, and a JSON call gets the 503 and the close.
 
 The bench client drives one thread per closed-loop user against a replica
 set, assigning each request to the next endpoint in strict rotation over one

@@ -7,8 +7,10 @@ or the free batch slots run out. Non-resident adapters encountered during the
 sweep get their background load triggered once and are skipped for this plan.
 The policy is deterministic and starvation-free: an adapter that contributed
 this step moves to the back of the next step's order.  The scheduler holds
-only what waits: the queues, their order and the queued ids.  An admitted
-request leaves it; the engine holds the batch and caps its size.
+only what waits: the queues and their order.  The engine's registry holds
+each request from submit to finish, rejects a duplicate id and caps the
+batch; an admitted request leaves the scheduler.  A queue emptied by a plan
+or a drain is deleted there, so a backlog is exactly a non-empty queue map.
 
 The order lives in a heap holding one ``(last_served, name)`` entry per
 adapter with a non-empty queue.  The first sweep pops entries only as far as
