@@ -24,8 +24,8 @@ from dataclasses import fields, replace
 from importlib import resources
 
 import pytest
-from hypothesis import assume, example, given, settings
 from conftest import single_request_timeline
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import adapterd.engine as engine
@@ -186,6 +186,17 @@ def test_an_id_still_queued_is_rejected():
     core.schedule_submit(Request("a", "base", 100, 5, 2.0))
     with pytest.raises(DuplicateRequestError):
         core.run_until_idle()
+
+
+def test_abandon_drops_queued_in_flight_and_pending_requests_with_their_tags():
+    core = EngineCore(EngineConfig(max_batch_size=1), [])
+    for rid, submit in (("x", 0.0), ("a", 1.0), ("b", 500.0)):
+        core.schedule_submit(Request(rid, "base", 100, 5, submit), f"tag-{rid}")
+    core.process_due(100.0)  # x decodes until 158.0, a waits for its slot, b is not yet submitted
+    assert sorted(core.abandon()) == ["tag-a", "tag-b", "tag-x"]
+    assert core.process_due(1e9) is None and core.abandon() == []
+    assert core.records == [] and core.submitted == 2
+    assert not core.scheduler.has_backlog()
 
 
 def test_a_finish_frees_its_batch_slot():
