@@ -266,7 +266,7 @@ class EngineCore:
 
     def abandon(self) -> list[Any]:
         """End the run: drop every unfinished request and its events; return their tags."""
-        pending = [entry[3] for entry in self._heap if entry[1] == _PRIO_SUBMIT]
+        pending = [payload for _t, prio, _s, payload in self._heap if prio == _PRIO_SUBMIT]
         tags = [flight.tag for flight in (*self._flights.values(), *pending)]
         self._flights.clear()
         self._heap.clear()

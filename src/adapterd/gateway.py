@@ -341,7 +341,7 @@ class _GatewayHandler(BaseHTTPRequestHandler):
         while isinstance(item := token_queue.get(), int):
             event = b'data: {"token_index": %d}\n\n' % item
             self.wfile.write(b"%x\r\n%s\r\n" % (len(event), event) if chunked else event)
-        if item is None:  # cut by stop: no [DONE] and no last chunk, so the client sees it end short
+        if item is None:  # cut by stop: no [DONE] and no last chunk, so the stream ends short
             self.close_connection = True
             return
         self.wfile.write(b"e\r\ndata: [DONE]\n\n\r\n0\r\n\r\n" if chunked else b"data: [DONE]\n\n")
